@@ -11,7 +11,6 @@ import numpy as np
 
 from beliefshare import planning, world
 from beliefshare.model import initial_state, make_agent_model, perceive
-from beliefshare.simulate import GraphContext
 
 SHADES = " .:-=+*#%@"
 
@@ -29,7 +28,6 @@ def grid_rows(p):
 def main():
     rng = np.random.default_rng(4)
     graph = world.default_graph()
-    ctx = GraphContext(graph)
     object_location = 13
     start = 0
 
@@ -42,7 +40,7 @@ def main():
     print("belief heat uses", repr(SHADES), "from low to high\n")
 
     for t in range(20):
-        bundle = world.env_observe(env, rng, A1=ctx.A1, A2=ctx.A2)
+        bundle = world.env_observe(env, rng, planner.cum_A1, planner.A2)
         update = perceive(model, state, bundle.location[0], bundle.visibility[0])
         state.location = update.location
         state.object = update.object

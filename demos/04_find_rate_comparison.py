@@ -9,32 +9,50 @@ behind because one shared false "visible" draw can lock both agents onto a
 phantom node (its belief doubles every round, outrunning refutation).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from beliefshare import world
-from beliefshare.simulate import SWEEP_MODES, _sweep_config, GraphContext, run_trial
+from beliefshare.comms import CommMode
 from beliefshare.planning import PlannerContext
-from beliefshare.simulate import build_agent_models
+from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, build_agent_models, run_trial
 
 
 def main():
     graph = world.default_graph()
-    ctx = GraphContext(graph)
+    uniform = np.ones(15) / 15
     rng = np.random.default_rng(2024)
     combos = [
         ((int(rng.integers(15)), int(rng.integers(15))), int(rng.integers(15)))
         for _ in range(250)
     ]
-    probe = _sweep_config(graph, (0, 0), 0, "none", 0, 20, 2, 4.0)
-    planner = PlannerContext(build_agent_models(probe, ctx)[0])
+    template = ScenarioConfig(
+        graph=graph,
+        agents=[AgentSpec(0, uniform), AgentSpec(0, uniform)],
+        object_location=None,
+        comm_mode=CommMode.NONE,
+        steps=20,
+        temperature=4.0,
+        record_trace=False,
+    )
+    # one context serves every trial: they share graph, observations and preferences
+    planner = PlannerContext(build_agent_models(template)[0])
 
     print(f"{len(combos)} sampled configurations, 20 steps, temperature 4.0\n")
     for mode in SWEEP_MODES:
         found = 0
         steps = []
         for k, (starts, obj) in enumerate(combos):
-            config = _sweep_config(graph, starts, obj, mode, 9000 + k, 20, 2, 4.0)
-            result = run_trial(config, ctx, None if mode == "random" else planner)
+            config = replace(
+                template,
+                agents=[AgentSpec(s, uniform) for s in starts],
+                object_location=obj,
+                comm_mode=CommMode.NONE if mode == "random" else CommMode(mode),
+                action_policy="random" if mode == "random" else "plan",
+                seed=9000 + k,
+            )
+            result = run_trial(config, planner)
             found += result.found
             if result.found:
                 steps.append(result.steps_to_find)

@@ -34,11 +34,9 @@ from .model import AgentModel, BeliefState, default_preferences, make_agent_mode
 from .planning import (
     EFEBreakdown,
     PreferenceModel,
-    efe_table,
     enumerate_policies,
     expected_free_energy,
     rollout_predict,
-    select_action,
 )
 from .simulate import (
     AgentSpec,
@@ -49,8 +47,6 @@ from .simulate import (
     echo_chamber_config,
     run_sweep,
     run_trial,
-    scenario_echo_chamber,
-    scenario_self_doubt,
     self_doubt_config,
 )
 from .world import (

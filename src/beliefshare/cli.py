@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,8 +35,8 @@ EXIT_CAP = 3
 # Documented config keys; unknown keys warn but do not fail.
 CONFIG_KEYS = {
     "graph": "graph fixture path, or 'default' for the shipped 15-node grid",
-    "comm_mode": "none | posterior_sharing | likelihood_sharing",
-    "object": "true object node index, or 'absent'",
+    "comm_mode": "none | posterior_sharing | likelihood_sharing (sweeps take the channel from sweep_modes)",
+    "object": "true object node index, or 'absent' (sweeps need 'absent': they place it on every node)",
     "horizon": "planning horizon (default 2)",
     "steps": "trial length (default 20)",
     "temperature": "action-selection temperature (default 1.0)",
@@ -44,10 +44,10 @@ CONFIG_KEYS = {
     "observe_location": "on | off (default on)",
     "observe_visibility": "on | off (default on)",
     "movement": "free | frozen (default free)",
-    "action_policy": "plan | random (default plan)",
+    "action_policy": "plan | random (default plan; sweeps need plan and take 'random' from sweep_modes)",
     "visible_bonus": "preference in nats for the visible outcome (default 2.0)",
     "sweep_modes": "comma list of sweep modes (default all four)",
-    "agent": "one per agent: '<start_node> | <object prior spec>'",
+    "agent": "one per agent: '<start_node> | <object prior spec>' (sweeps enumerate the start nodes)",
 }
 
 
@@ -377,6 +377,14 @@ def cmd_scenario(name: str, mode: str, out_dir: str, seed: int = 42) -> int:
     return EXIT_OK
 
 
+def _jobs_from_env() -> int:
+    raw = os.environ.get(JOBS_ENV_VAR, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{JOBS_ENV_VAR}: expected an integer, got {raw!r}") from None
+
+
 def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = None, jobs: int | None = None) -> int:
     """Run the find-rate sweep described by a config file."""
     try:
@@ -387,25 +395,22 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
         return EXIT_IO
     try:
         config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
+    except OSError as exc:
+        print(f"cannot read graph fixture: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    master_seed = config.seed if seed is None else seed
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
+    if seed is not None:
+        config = replace(config, seed=seed)
     try:
-        result = simulate.run_sweep(
-            modes=sweep_modes,
-            repeats=repeats,
-            graph=config.graph,
-            n_agents=config.n_agents,
-            steps=config.steps,
-            horizon=config.horizon,
-            temperature=config.temperature,
-            master_seed=master_seed,
-            jobs=max(1, jobs),
-        )
+        if jobs is None:
+            jobs = _jobs_from_env()
+        result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (SweepTooLarge, PolicySpaceTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -414,7 +419,7 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
         os.makedirs(out_dir, exist_ok=True)
         paths = write_sweep_files(result, out_dir)
         _write_manifest(
-            out_dir, config.config_hash(), master_seed, paths,
+            out_dir, config.config_hash(), config.seed, paths,
             serialize_config(config, sweep_modes),
         )
     except OSError as exc:

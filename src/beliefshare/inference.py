@@ -10,7 +10,6 @@ free energy are provided so every update path can be cross-checked.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, xlogy
 
 from .errors import (
     DegenerateDistribution,
@@ -74,7 +73,7 @@ def softmax(logits) -> np.ndarray:
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:
     """KL(q || p) in nats, with 0 log 0 = 0 and exact zeros in p log-floored."""
     q = np.asarray(q, dtype=float)
-    return float(np.sum(xlogy(q, q)) - q @ floored_log(p))
+    return float(np.sum(q * floored_log(q)) - q @ floored_log(p))
 
 
 @dataclass
@@ -125,14 +124,12 @@ class LikelihoodTensor:
     """Conditional probability table P(outcome | parent factors).
 
     Axes are [outcome, parent_0, parent_1, ...] in the order given by
-    ``parent_factors``. ``counts``, when present, are Dirichlet counts of
-    the same shape used by the expected-log weighting.
+    ``parent_factors``.
     """
 
     modality_id: str
     parent_factors: tuple
     table: np.ndarray
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         self.parent_factors = tuple(self.parent_factors)
@@ -149,31 +146,10 @@ class LikelihoodTensor:
             raise ShapeError(
                 f"{self.modality_id!r} conditional slices must sum to 1 over outcomes"
             )
-        if self.counts is not None:
-            self.counts = np.asarray(self.counts, dtype=float)
-            if self.counts.shape != self.table.shape:
-                raise ShapeError(f"{self.modality_id!r} counts shape differs from table")
-            if np.any(self.counts <= 0):
-                raise ShapeError(f"{self.modality_id!r} counts must be strictly positive")
 
     @property
     def n_outcomes(self) -> int:
         return self.table.shape[0]
-
-    def log_weights(self, phi_mode: str = "point") -> np.ndarray:
-        """Log-probability weights used inside likelihood messages.
-
-        "point" takes the elementwise log of the table (the infinite-count
-        limit); "dirichlet" takes the expected log under the Dirichlet
-        counts, digamma(count) - digamma(total per slice).
-        """
-        if phi_mode == "point":
-            return floored_log(self.table)
-        if phi_mode == "dirichlet":
-            if self.counts is None:
-                raise ShapeError(f"{self.modality_id!r} has no Dirichlet counts")
-            return digamma(self.counts) - digamma(self.counts.sum(axis=0, keepdims=True))
-        raise ValueError(f"unknown phi_mode {phi_mode!r}")
 
 
 @dataclass
@@ -203,41 +179,27 @@ class TransitionTensor:
 
 @dataclass
 class ObservationEvent:
-    """One observation on a modality: a hard outcome index or a soft distribution."""
+    """One observation on a modality: the index of the observed outcome."""
 
     modality_id: str
-    value: object
+    value: int
 
     def __post_init__(self):
-        if isinstance(self.value, (int, np.integer)):
-            self.value = int(self.value)
-            if self.value < 0:
-                raise ShapeError(f"{self.modality_id!r} outcome index must be non-negative")
-        else:
-            self.value = np.asarray(self.value, dtype=float)
-            if self.value.ndim != 1:
-                raise ShapeError(f"soft {self.modality_id!r} observation must be 1-D")
-            if np.any(self.value < 0) or abs(self.value.sum() - 1.0) > SUM_ATOL:
-                raise DegenerateDistribution(
-                    f"soft {self.modality_id!r} observation must be a distribution"
-                )
+        if not isinstance(self.value, (int, np.integer)):
+            raise ShapeError(f"{self.modality_id!r} observation must be an outcome index")
+        self.value = int(self.value)
+        if self.value < 0:
+            raise ShapeError(f"{self.modality_id!r} outcome index must be non-negative")
 
     def outcome_weights(self, n_outcomes: int) -> np.ndarray:
-        """The observation as a weight vector over outcomes (one-hot if hard)."""
-        if isinstance(self.value, int):
-            if self.value >= n_outcomes:
-                raise ShapeError(
-                    f"{self.modality_id!r} outcome {self.value} out of range (<{n_outcomes})"
-                )
-            w = np.zeros(n_outcomes)
-            w[self.value] = 1.0
-            return w
-        if self.value.size != n_outcomes:
+        """The observation as a one-hot weight vector over outcomes."""
+        if self.value >= n_outcomes:
             raise ShapeError(
-                f"soft {self.modality_id!r} observation has length {self.value.size}, "
-                f"expected {n_outcomes}"
+                f"{self.modality_id!r} outcome {self.value} out of range (<{n_outcomes})"
             )
-        return self.value
+        w = np.zeros(n_outcomes)
+        w[self.value] = 1.0
+        return w
 
 
 def likelihood_message(
@@ -245,7 +207,6 @@ def likelihood_message(
     obs: ObservationEvent,
     co_parent_beliefs: list,
     target_factor: str,
-    phi_mode: str = "point",
 ) -> LogMessage:
     """Message from an observed modality to one of its parent factors.
 
@@ -265,7 +226,7 @@ def likelihood_message(
             f"modality {A.modality_id!r} needs co-parents {needed}, got {sorted(supplied)}"
         )
 
-    logw = A.log_weights(phi_mode)
+    logw = floored_log(A.table)
     w_obs = obs.outcome_weights(A.n_outcomes)
 
     # einsum over [outcome, parent...] leaving the target parent's axis

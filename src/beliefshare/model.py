@@ -41,7 +41,6 @@ class AgentModel:
     preferences: PreferenceModel = field(default_factory=lambda: PreferenceModel({}))
     observe_location: bool = True
     observe_visibility: bool = True
-    phi_mode: str = "point"
 
     @property
     def n_nodes(self) -> int:
@@ -146,7 +145,7 @@ def perceive(
     loc_evidence = loc_prior_msg.logits.copy()
     if model.observe_location and location_obs is not None:
         obs = ObservationEvent(world.LOCATION_MODALITY, location_obs)
-        msg_a1 = likelihood_message(model.A_location, obs, [], world.LOCATION, model.phi_mode)
+        msg_a1 = likelihood_message(model.A_location, obs, [], world.LOCATION)
         loc_evidence += msg_a1.logits
         loc_msgs = [msg_a1]
     else:
@@ -168,11 +167,11 @@ def perceive(
     vis_to_obj = None
     for _ in range(MAX_SWEEPS):
         vis_to_loc = likelihood_message(
-            model.A_visibility, vis_event, [obj_belief], world.LOCATION, model.phi_mode
+            model.A_visibility, vis_event, [obj_belief], world.LOCATION
         )
         new_loc = CategoricalBelief(world.LOCATION, softmax(loc_evidence + vis_to_loc.logits))
         vis_to_obj = likelihood_message(
-            model.A_visibility, vis_event, [new_loc], world.OBJECT, model.phi_mode
+            model.A_visibility, vis_event, [new_loc], world.OBJECT
         )
         new_obj = CategoricalBelief(
             world.OBJECT, softmax(obj_prior_msg.logits + vis_to_obj.logits)

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import world
 from .errors import EmptyInput, PolicySpaceTooLarge, ShapeError
-from .inference import kl_divergence, normalize, softmax
+from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
 
@@ -132,54 +131,13 @@ def expected_free_energy(model, beliefs, policy, prefs: PreferenceModel | None =
     return EFEBreakdown(tuple(policy), info_gain, utility)
 
 
-def efe_table(model, beliefs, policies, prefs: PreferenceModel | None = None) -> tuple:
-    """Vectorized scores for a batch of policies.
-
-    Returns (G, info_gain, utility) arrays aligned with ``policies``. Uses
-    the identity  E_o KL(post || prior) = sum_o sum_s prior(s) A(o|s) log A(o|s)
-    + H(Q(o)),  so each step costs a few small matrix products.
-    """
-    if prefs is None:
-        prefs = model.preferences
-    actions = np.asarray(policies, dtype=int)
-    if actions.size == 0:
-        raise EmptyInput("no policies to evaluate")
-    n_pol, horizon = actions.shape
-
-    A2 = model.A_visibility.table
-    A1 = model.A_location.table
-    # Per-action transition matrices indexed as [action, next, prev].
-    BT = np.ascontiguousarray(model.B_location.table.transpose(2, 0, 1))
-    c_vis = prefs.vector(world.VISIBILITY_MODALITY, A2.shape[0])
-    c_loc = prefs.vector(world.LOCATION_MODALITY, A1.shape[0])
-    w_vis = xlogy(A2, A2).sum(axis=0)  # (N, N): sum_v A2 log A2
-    w_loc = xlogy(A1, A1).sum(axis=0)  # (N,)
-
-    locs = np.broadcast_to(beliefs.location.probs, (n_pol, A1.shape[1])).copy()
-    obj = beliefs.object.probs.copy()
-
-    info_gain = np.zeros(n_pol)
-    utility = np.zeros(n_pol)
-    for t in range(horizon):
-        locs = np.einsum("pij,pj->pi", BT[actions[:, t]], locs)
-        obj = model.B_object.table[:, :, 0] @ obj
-        if model.observe_visibility:
-            m = A2 @ obj  # (2, N): P(v | agent at i)
-            q_v = locs @ m.T  # (P, 2)
-            info_gain += locs @ (w_vis @ obj) - xlogy(q_v, q_v).sum(axis=1)
-            utility += q_v @ c_vis
-        if model.observe_location:
-            q_l = locs @ A1.T  # (P, N)
-            info_gain += locs @ w_loc - xlogy(q_l, q_l).sum(axis=1)
-            utility += q_l @ c_loc
-    return -info_gain - utility, info_gain, utility
-
-
 class PlannerContext:
-    """Precomputed planning arrays for one graph and preference setting.
+    """Precomputed arrays for one graph, observation setting and preference setting.
 
     Scores the full lexicographic policy product without per-call tensor
-    rebuilds; ``scores()`` agrees with ``efe_table`` on that product.
+    rebuilds; ``scores()`` agrees with ``expected_free_energy`` policy by
+    policy. Also carries the log and cumulative observation tables the
+    trial loop perceives with, so one context serves a whole trial.
     """
 
     def __init__(self, model, prefs: PreferenceModel | None = None):
@@ -194,8 +152,11 @@ class PlannerContext:
         self.BT = np.ascontiguousarray(model.B_location.table.transpose(2, 0, 1))
         self.BT_flat = self.BT.reshape(-1, self.BT.shape[2])
         self.B2m = np.ascontiguousarray(model.B_object.table[:, :, 0])
-        self.w_vis = xlogy(A2, A2).sum(axis=0)
-        self.w_loc = xlogy(A1, A1).sum(axis=0)
+        self.log_A1 = floored_log(A1)
+        self.log_A2 = floored_log(A2)
+        self.cum_A1 = np.cumsum(A1, axis=0)
+        self.w_vis = (A2 * self.log_A2).sum(axis=0)
+        self.w_loc = (A1 * self.log_A1).sum(axis=0)
         self.c_vis = prefs.vector(world.VISIBILITY_MODALITY, A2.shape[0])
         self.c_loc = prefs.vector(world.LOCATION_MODALITY, A1.shape[0])
         self.has_c_loc = bool(np.any(self.c_loc))
@@ -210,12 +171,12 @@ class PlannerContext:
         if self.observe_visibility:
             u += self.w_vis @ obj
             q_v = locs @ (self.A2 @ obj).T
-            score += xlogy(q_v, q_v).sum(axis=1)
+            score += (q_v * floored_log(q_v)).sum(axis=1)
             score -= q_v @ self.c_vis
         if self.observe_location:
             u += self.w_loc
             q_l = locs @ self.A1T
-            score += xlogy(q_l, q_l).sum(axis=1)
+            score += (q_l * floored_log(q_l)).sum(axis=1)
             if self.has_c_loc:
                 score -= q_l @ self.c_loc
         score -= locs @ u
@@ -244,24 +205,3 @@ def sample_policy_index(G: np.ndarray, temperature: float, rng: np.random.Genera
     cum = np.cumsum(softmax(-temperature * G))
     idx = int(np.searchsorted(cum, rng.random(), side="right"))
     return min(idx, G.size - 1)
-
-
-def select_action(
-    efes: list,
-    temperature: float,
-    rng: np.random.Generator,
-    mode: str = "sample",
-) -> int:
-    """First action of a policy drawn from softmax(-temperature * G).
-
-    ``mode="greedy"`` instead takes the lowest-G policy, ties broken by
-    lowest index, which is handy for deterministic tests.
-    """
-    if not efes:
-        raise EmptyInput("no policies to select from")
-    G = np.array([e.G for e in efes])
-    if mode == "greedy":
-        idx = int(np.argmin(G))
-    else:
-        idx = sample_policy_index(G, temperature, rng)
-    return int(efes[idx].policy[0])

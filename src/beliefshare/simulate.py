@@ -12,8 +12,9 @@ agreement.
 """
 
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -182,39 +183,24 @@ class TrialResult:
     seed: int
 
 
-class GraphContext:
-    """Canonical tensors and their log/cumulative forms for one graph."""
-
-    def __init__(self, graph: world.WorldGraph):
-        self.graph = graph
-        n = graph.n_nodes
-        self.A1 = world.build_A1(n)
-        self.A2 = world.build_A2(n)
-        self.B1 = world.build_B1(graph)
-        self.B2 = world.build_B2(n)
-        self.log_A1 = floored_log(self.A1.table)
-        self.log_A2 = floored_log(self.A2.table)
-        self.cum_A1 = np.cumsum(self.A1.table, axis=0)
-        self.BT = np.ascontiguousarray(self.B1.table.transpose(2, 0, 1))
-        self.B2m = np.ascontiguousarray(self.B2.table[:, :, 0])
-
-
-def build_agent_models(config: ScenarioConfig, ctx: GraphContext | None = None) -> list:
+def build_agent_models(config: ScenarioConfig) -> list:
     """AgentModel instances matching a config, sharing one tensor set."""
-    if ctx is None:
-        ctx = GraphContext(config.graph)
-    prefs = default_preferences(config.graph.n_nodes, config.visible_bonus)
+    graph = config.graph
+    n = graph.n_nodes
+    A1, A2 = world.build_A1(n), world.build_A2(n)
+    B1, B2 = world.build_B1(graph), world.build_B2(n)
+    prefs = default_preferences(n, config.visible_bonus)
     models = []
     for spec in config.agents:
-        loc_prior = np.zeros(config.graph.n_nodes)
+        loc_prior = np.zeros(n)
         loc_prior[spec.start_node] = 1.0
         models.append(
             AgentModel(
-                graph=config.graph,
-                A_location=ctx.A1,
-                A_visibility=ctx.A2,
-                B_location=ctx.B1,
-                B_object=ctx.B2,
+                graph=graph,
+                A_location=A1,
+                A_visibility=A2,
+                B_location=B1,
+                B_object=B2,
                 location_prior=CategoricalBelief(world.LOCATION, loc_prior),
                 object_prior=CategoricalBelief(world.OBJECT, spec.object_prior),
                 preferences=prefs,
@@ -225,25 +211,25 @@ def build_agent_models(config: ScenarioConfig, ctx: GraphContext | None = None) 
     return models
 
 
-def _make_planner(config: ScenarioConfig, ctx: GraphContext) -> planning.PlannerContext | None:
-    if config.action_policy != PLANNED or config.movement == FROZEN:
-        return None
-    if config.scripted_actions is not None:
-        return None
-    planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
-    return planning.PlannerContext(build_agent_models(config, ctx)[0])
+def _planner_context(config: ScenarioConfig) -> planning.PlannerContext:
+    return planning.PlannerContext(build_agent_models(config)[0])
 
 
-def run_trial(
-    config: ScenarioConfig,
-    ctx: GraphContext | None = None,
-    planner: planning.PlannerContext | None = None,
-) -> TrialResult:
-    """Execute one trial; fully deterministic given the config's seed."""
-    if ctx is None:
-        ctx = GraphContext(config.graph)
+def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = None) -> TrialResult:
+    """Execute one trial; fully deterministic given the config's seed.
+
+    ``planner`` is the context for the config's graph, observation and
+    preference settings; trials that share those settings can share one.
+    """
     if planner is None:
-        planner = _make_planner(config, ctx)
+        plans = (
+            config.action_policy == PLANNED
+            and config.movement == FREE
+            and config.scripted_actions is None
+        )
+        if plans:
+            planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
+        planner = _planner_context(config)
     n = config.graph.n_nodes
     n_agents = config.n_agents
     mode = config.comm_mode
@@ -284,7 +270,7 @@ def run_trial(
         loc_obs = [None] * n_agents
         vis_obs = [None] * n_agents
         if need_env_draws:
-            bundle = world.env_observe(env, rng, A1=ctx.A1, A2=ctx.A2, cum_A1=ctx.cum_A1)
+            bundle = world.env_observe(env, rng, planner.cum_A1, planner.A2)
             if config.observe_location:
                 loc_obs = list(bundle.location)
             if config.observe_visibility and config.scripted_visibility is None:
@@ -301,15 +287,15 @@ def run_trial(
                 prior_loc = floored_log(loc_beliefs[i])
                 prior_obj = floored_log(obj_beliefs[i])
             else:
-                prior_loc = floored_log(ctx.BT[last_actions[i]] @ loc_beliefs[i])
-                prior_obj = floored_log(ctx.B2m @ obj_beliefs[i])
-            loc_ev = prior_loc if loc_obs[i] is None else prior_loc + ctx.log_A1[loc_obs[i]]
+                prior_loc = floored_log(planner.BT[last_actions[i]] @ loc_beliefs[i])
+                prior_obj = floored_log(planner.B2m @ obj_beliefs[i])
+            loc_ev = prior_loc if loc_obs[i] is None else prior_loc + planner.log_A1[loc_obs[i]]
             if vis_obs[i] is None:
                 loc_belief = _softmax(loc_ev)
                 obj_own = _softmax(prior_obj)
                 vis_msg = None
             else:
-                lw = ctx.log_A2[vis_obs[i]]
+                lw = planner.log_A2[vis_obs[i]]
                 loc_belief = _softmax(loc_ev)
                 obj_own = _softmax(prior_obj)
                 vis_msg = None
@@ -466,10 +452,6 @@ def echo_chamber_config(
     )
 
 
-def scenario_echo_chamber(mode: CommMode, **kwargs) -> BeliefTrace:
-    return run_trial(echo_chamber_config(mode, **kwargs)).trace
-
-
 def self_doubt_config(
     mode: CommMode,
     steps: int = 15,
@@ -513,10 +495,6 @@ def self_doubt_config(
     )
 
 
-def scenario_self_doubt(mode: CommMode, **kwargs) -> BeliefTrace:
-    return run_trial(self_doubt_config(mode, **kwargs)).trace
-
-
 # ---------------------------------------------------------------------------
 # Find-rate sweep
 
@@ -545,97 +523,68 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
 
 
-def _sweep_config(
-    graph: world.WorldGraph,
-    starts: tuple,
-    object_location: int,
-    mode: str,
-    seed: int,
-    steps: int,
-    horizon: int,
-    temperature: float,
-) -> ScenarioConfig:
-    n = graph.n_nodes
-    uniform = np.ones(n) / n
-    comm = CommMode.NONE if mode == RANDOM else CommMode(mode)
-    return ScenarioConfig(
-        graph=graph,
-        agents=[AgentSpec(s, uniform.copy()) for s in starts],
-        object_location=object_location,
-        comm_mode=comm,
-        horizon=horizon,
-        steps=steps,
-        temperature=temperature,
-        seed=seed,
-        action_policy=RANDOM if mode == RANDOM else PLANNED,
-        record_trace=False,
-    )
+def worker_count(requested: int, n_tasks: int, cpus: int | None) -> int:
+    """Sweep worker processes: the request, capped by the CPU and task counts, at least 1."""
+    return max(1, min(requested, cpus or 1, n_tasks))
 
 
-_WORKER_CTX = {}
-
-
-def _sweep_worker_init(graph_adj, steps, horizon, temperature):
-    graph = world.WorldGraph(graph_adj.shape[0], graph_adj)
-    ctx = GraphContext(graph)
-    probe = _sweep_config(
-        graph, (0,), 0, "none", 0, steps, horizon, temperature
-    )
-    _WORKER_CTX["graph"] = graph
-    _WORKER_CTX["ctx"] = ctx
-    _WORKER_CTX["planner"] = planning.PlannerContext(build_agent_models(probe, ctx)[0])
-    _WORKER_CTX["steps"] = steps
-    _WORKER_CTX["horizon"] = horizon
-    _WORKER_CTX["temperature"] = temperature
-
-
-def _sweep_worker_run(batch):
+def _run_tasks(template: ScenarioConfig, planner: planning.PlannerContext, tasks: list) -> list:
     out = []
-    for trial_id, mode, starts, obj, seed in batch:
-        config = _sweep_config(
-            _WORKER_CTX["graph"],
-            starts,
-            obj,
-            mode,
-            seed,
-            _WORKER_CTX["steps"],
-            _WORKER_CTX["horizon"],
-            _WORKER_CTX["temperature"],
+    for trial_id, mode, starts, obj, seed in tasks:
+        config = replace(
+            template,
+            agents=[AgentSpec(s, spec.object_prior) for s, spec in zip(starts, template.agents)],
+            object_location=obj,
+            comm_mode=CommMode.NONE if mode == RANDOM else CommMode(mode),
+            action_policy=RANDOM if mode == RANDOM else PLANNED,
+            seed=seed,
+            record_trace=False,
         )
-        planner = None if mode == RANDOM else _WORKER_CTX["planner"]
-        result = run_trial(config, _WORKER_CTX["ctx"], planner)
+        result = run_trial(config, planner)
         out.append(
             TrialRow(trial_id, mode, starts, obj, seed, result.found, result.steps_to_find)
         )
     return out
 
 
+# Per-process state of pool workers, set once by the pool initializer.
+_WORKER = {}
+
+
+def _sweep_worker_init(template: ScenarioConfig):
+    _WORKER["args"] = (template, _planner_context(template))
+
+
+def _sweep_worker_run(tasks: list) -> list:
+    return _run_tasks(*_WORKER["args"], tasks)
+
+
 def run_sweep(
+    template: ScenarioConfig,
     modes=SWEEP_MODES,
     repeats: int = 5,
-    graph: world.WorldGraph | None = None,
-    n_agents: int = 2,
-    steps: int = 20,
-    horizon: int = 2,
-    temperature: float = 1.0,
-    master_seed: int = 42,
     jobs: int = 1,
     cap: int = SWEEP_TRIAL_CAP,
 ) -> SweepResult:
     """Find rates over every (agent starts, object location) combination.
 
+    Each trial is ``template`` with the agents' start nodes, the object's
+    node, the channel and the seed replaced; everything else, the agents'
+    priors included, carries over. The template's seed is the master seed.
     Each combination runs ``repeats`` seeded trials per mode; the same
     trial seed is paired across modes so mode comparisons share their
     random draws. "random" is the no-planning baseline.
     """
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
-    if graph is None:
-        graph = world.default_graph()
-    n = graph.n_nodes
+    if template.object_location is not None:
+        raise ConfigError("object: a sweep places the object on every node; set it to 'absent'")
+    if template.action_policy != PLANNED:
+        raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
+    n = template.graph.n_nodes
     combos = [
         (starts, obj)
-        for starts in product(range(n), repeat=n_agents)
+        for starts in product(range(n), repeat=template.n_agents)
         for obj in range(n)
     ]
     total = len(combos) * repeats * len(modes)
@@ -649,24 +598,24 @@ def run_sweep(
         paired_index = 0
         for starts, obj in combos:
             for _ in range(repeats):
-                tasks.append((trial_id, mode, starts, obj, trial_seed(master_seed, paired_index)))
+                tasks.append(
+                    (trial_id, mode, starts, obj, trial_seed(template.seed, paired_index))
+                )
                 trial_id += 1
                 paired_index += 1
 
+    jobs = worker_count(jobs, len(tasks), os.cpu_count())
     if jobs > 1:
         chunks = [tasks[i::jobs] for i in range(jobs)]
         rows = []
         with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_sweep_worker_init,
-            initargs=(graph.adjacency, steps, horizon, temperature),
+            max_workers=jobs, initializer=_sweep_worker_init, initargs=(template,)
         ) as pool:
             for part in pool.map(_sweep_worker_run, chunks):
                 rows.extend(part)
         rows.sort(key=lambda r: r.trial_id)
     else:
-        _sweep_worker_init(graph.adjacency, steps, horizon, temperature)
-        rows = _sweep_worker_run(tasks)
+        rows = _run_tasks(template, _planner_context(template), tasks)
 
     aggregates = {}
     for mode in modes:
@@ -674,4 +623,4 @@ def run_sweep(
         rate = float(outcomes.mean())
         stderr = float(np.sqrt(rate * (1.0 - rate) / outcomes.size))
         aggregates[mode] = (rate, stderr, int(outcomes.size))
-    return SweepResult(rows, aggregates, master_seed, repeats)
+    return SweepResult(rows, aggregates, template.seed, repeats)

@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .inference import LikelihoodTensor, TransitionTensor
 
 LOCATION = "location"
@@ -84,13 +84,15 @@ class WorldGraph:
 def parse_graph_text(text: str) -> WorldGraph:
     """Parse the adjacency-list fixture format: one "node: nb,nb,..." line per node."""
     entries = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, tail = line.partition(":")
-        node = int(head.strip())
-        nbs = [int(tok) for tok in tail.replace(",", " ").split()]
+        tokens = [head.strip(), *tail.replace(",", " ").split()]
+        if not all(tok.isdigit() for tok in tokens):
+            raise ConfigError(f"graph fixture line {lineno}: expected 'node: nb,nb,...', got {line!r}")
+        node, *nbs = (int(tok) for tok in tokens)
         entries[node] = nbs
     if not entries:
         raise ShapeError("graph fixture is empty")
@@ -205,36 +207,26 @@ def env_step(state: WorldState, actions, graph: WorldGraph) -> WorldState:
 def env_observe(
     state: WorldState,
     rng: np.random.Generator,
-    n_nodes: int | None = None,
-    A1: LikelihoodTensor | None = None,
-    A2: LikelihoodTensor | None = None,
-    cum_A1: np.ndarray | None = None,
+    cum_A1: np.ndarray,
+    A2: np.ndarray,
 ) -> ObservationBundle:
     """Draw one location and one visibility outcome per agent.
 
-    Ground truth uses the same tensors the agents model with (pass them,
-    plus optionally the column-cumulative location table, to avoid
-    rebuilding). An absent object behaves like "not at the agent's node"
-    everywhere, so visible draws are false positives only.
+    Ground truth uses the same tensors the agents model with: ``cum_A1`` is
+    the location table cumulated over outcomes (axis 0), ``A2`` the
+    visibility table. An absent object behaves like "not at the agent's
+    node" everywhere, so visible draws are false positives only.
     """
-    if A1 is None:
-        if n_nodes is None:
-            raise ShapeError("env_observe needs n_nodes when tensors are not supplied")
-        A1 = build_A1(n_nodes)
-    if A2 is None:
-        A2 = build_A2(A1.table.shape[1])
-    if cum_A1 is None:
-        cum_A1 = np.cumsum(A1.table, axis=0)
     locs = []
     vis = []
     for pos in state.agent_positions:
         draw = int(np.searchsorted(cum_A1[:, pos], rng.random(), side="right"))
-        locs.append(min(draw, A1.table.shape[0] - 1))
+        locs.append(min(draw, cum_A1.shape[0] - 1))
         obj = state.object_location
         if obj is None:
             # any non-matching column of the visibility table
-            p_visible = float(A2.table[VISIBLE, pos, pos - 1]) if A2.table.shape[1] > 1 else 0.0
+            p_visible = float(A2[VISIBLE, pos, pos - 1]) if A2.shape[1] > 1 else 0.0
         else:
-            p_visible = float(A2.table[VISIBLE, pos, obj])
+            p_visible = float(A2[VISIBLE, pos, obj])
         vis.append(VISIBLE if rng.random() < p_visible else NOT_VISIBLE)
     return ObservationBundle(tuple(locs), tuple(vis))

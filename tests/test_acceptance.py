@@ -29,7 +29,6 @@ from beliefshare.inference import (
 from beliefshare.model import initial_state, make_agent_model
 from beliefshare.planning import expected_free_energy
 from beliefshare.simulate import (
-    GraphContext,
     echo_chamber_config,
     peaked_prior,
     run_trial,
@@ -39,9 +38,6 @@ from beliefshare.simulate import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = REPO_ROOT / "configs" / "find_rate_sweep.cfg"
-
-GRAPH = world.default_graph()
-CTX = GraphContext(GRAPH)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -186,7 +182,7 @@ def test_criterion_4_echo_chamber():
     after; a gentle 1.05 bump keeps all ten steps strictly increasing.
     """
     t0 = time.perf_counter()
-    trace = run_trial(echo_chamber_config(CommMode.POSTERIOR_SHARING), CTX).trace
+    trace = run_trial(echo_chamber_config(CommMode.POSTERIOR_SHARING)).trace
     prior_mass = bumped_prior(15, (11, 13))[[11, 13]].sum()
     ok = True
     detail = []
@@ -201,16 +197,14 @@ def test_criterion_4_echo_chamber():
         ok &= bool(mass[-1] > 0.9)
     detail.append(f"default bump final mass {trace.object_beliefs[-1, 0, [11, 13]].sum():.6f}")
 
-    gentle = run_trial(
-        echo_chamber_config(CommMode.POSTERIOR_SHARING, bump_ratio=1.05), CTX
-    ).trace
+    gentle = run_trial(echo_chamber_config(CommMode.POSTERIOR_SHARING, bump_ratio=1.05)).trace
     mass = gentle.object_beliefs[:, 0, [11, 13]].sum(axis=1)
     seq = np.concatenate([[bumped_prior(15, (11, 13), 1.05)[[11, 13]].sum()], mass])
     strict_all = all(b > a for a, b in zip(seq, seq[1:])) and mass[-1] > 0.9
     ok &= strict_all
     detail.append(f"gentle bump strictly increasing all 10 steps: {strict_all}")
 
-    fix = run_trial(echo_chamber_config(CommMode.LIKELIHOOD_SHARING), CTX).trace
+    fix = run_trial(echo_chamber_config(CommMode.LIKELIHOOD_SHARING)).trace
     drift = np.abs(fix.object_beliefs - bumped_prior(15, (11, 13))).max()
     ok &= bool(drift < 1e-9)
     detail.append(f"likelihood-sharing drift {drift:.2e}")
@@ -229,7 +223,7 @@ def test_criterion_5_self_doubt():
     column = np.full(15, 0.8)
     column[1] = 0.2
 
-    post_trace = run_trial(self_doubt_config(CommMode.POSTERIOR_SHARING, scripted=True), CTX).trace
+    post_trace = run_trial(self_doubt_config(CommMode.POSTERIOR_SHARING, scripted=True)).trace
     own = normalize(prior * column)
     oracle_post = exact_bayes_oracle(
         CategoricalBelief("object", prior), [column, own, own, own]
@@ -237,7 +231,7 @@ def test_criterion_5_self_doubt():
     got_post = post_trace.object_beliefs[0, :, 1]
     err_post = float(np.abs(got_post - oracle_post[1]).max())
 
-    lik_trace = run_trial(self_doubt_config(CommMode.LIKELIHOOD_SHARING, scripted=True), CTX).trace
+    lik_trace = run_trial(self_doubt_config(CommMode.LIKELIHOOD_SHARING, scripted=True)).trace
     oracle_lik = exact_bayes_oracle(
         CategoricalBelief("object", prior), [column] * 4
     ).probs
@@ -274,7 +268,7 @@ def test_criterion_6_double_counting_identity():
     worst = 0.0
     checked = 0
     for config in configs:
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         for t, round_messages in enumerate(trace.messages):
             for _, msg in round_messages:
                 sender = msg.sender
@@ -302,9 +296,12 @@ def test_criterion_6_double_counting_identity():
 def sweep_runs(tmp_path_factory):
     out_a = tmp_path_factory.mktemp("sweep_a")
     out_b = tmp_path_factory.mktemp("sweep_b")
+    # Two worker processes (one on a single-CPU machine): a parallel sweep
+    # writes the same bytes as a serial one, and each run takes about half
+    # the wall time.
     t0 = time.perf_counter()
-    code_a = cmd_sweep(str(SWEEP_CONFIG), repeats=5, out_dir=str(out_a))
-    code_b = cmd_sweep(str(SWEEP_CONFIG), repeats=5, out_dir=str(out_b))
+    code_a = cmd_sweep(str(SWEEP_CONFIG), repeats=5, out_dir=str(out_a), jobs=2)
+    code_b = cmd_sweep(str(SWEEP_CONFIG), repeats=5, out_dir=str(out_b), jobs=2)
     elapsed = time.perf_counter() - t0
     assert code_a == 0 and code_b == 0
     return out_a, out_b, elapsed

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +234,75 @@ class TestCmdSweep:
         assert cmd_sweep(str(cfg), 1, str(tmp_path / "out")) == EXIT_USAGE
 
 
+def run_main(argv, capsys):
+    """Exit code and stderr lines of one CLI invocation."""
+    code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+class TestSweepInputs:
+    """Sweep configs: every key takes effect or is rejected, bad inputs end in one line."""
+
+    def sweep(self, tmp_path, capsys, extra="", name="out", args=()):
+        (tmp_path / "tiny.txt").write_text("0: 1\n1: 0,2\n2: 1\n")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + extra)
+        out = tmp_path / name
+        argv = ["sweep", "--config", str(cfg), "--repeats", "2", "--out", str(out), *args]
+        return (*run_main(argv, capsys), out)
+
+    def test_visible_bonus_changes_trials(self, tmp_path, capsys):
+        code, _, base = self.sweep(tmp_path, capsys, name="base")
+        assert code == EXIT_OK
+        code, _, flat = self.sweep(tmp_path, capsys, "visible_bonus = 0\n", name="flat")
+        assert code == EXIT_OK
+        assert (base / "trials.csv").read_bytes() != (flat / "trials.csv").read_bytes()
+
+    def test_seed_override_enters_config_hash(self, tmp_path, capsys):
+        hashes = []
+        for seed in ("1", "2"):
+            code, _, out = self.sweep(tmp_path, capsys, name=seed, args=("--seed", seed))
+            assert code == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["master_seed"] == int(seed)
+            assert f"seed = {seed}" in manifest["resolved_config"]
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize(
+        "extra, key", [("object = 1\n", "object"), ("action_policy = random\n", "action_policy")]
+    )
+    def test_sweep_rejects_key(self, tmp_path, capsys, extra, key):
+        code, err, _ = self.sweep(tmp_path, capsys, extra)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and f"config error: {key}:" in err[0]
+
+    def test_missing_graph_fixture_is_io_error(self, tmp_path, capsys):
+        code, err, _ = self.sweep(tmp_path, capsys, "graph = missing.txt\n")
+        assert code == EXIT_IO
+        assert len(err) == 1 and "missing.txt" in err[0]
+
+    def test_malformed_graph_fixture_names_line(self, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("0: 1\nx: 0\n")
+        code, err, _ = self.sweep(tmp_path, capsys, "graph = bad.txt\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and "line 2" in err[0]
+
+    def test_jobs_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.JOBS_ENV_VAR, "abc")
+        code, err, _ = self.sweep(tmp_path, capsys)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and cli.JOBS_ENV_VAR in err[0]
+
+
 class TestMain:
+    def test_import_leaves_scipy_unloaded(self):
+        # SciPy is a test-only dependency: the package must not import it
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import beliefshare.cli, sys; assert 'scipy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
     def test_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
         assert main(["scenario"]) == EXIT_USAGE

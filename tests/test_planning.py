@@ -14,15 +14,12 @@ from beliefshare.inference import (
 )
 from beliefshare.model import BeliefState, default_preferences, initial_state, make_agent_model
 from beliefshare.planning import (
-    EFEBreakdown,
     PlannerContext,
     PreferenceModel,
-    efe_table,
     enumerate_policies,
     expected_free_energy,
     rollout_predict,
     sample_policy_index,
-    select_action,
 )
 
 
@@ -184,32 +181,18 @@ class TestExpectedFreeEnergy:
 
     def test_preference_shift_leaves_selection_unchanged(self):
         model, state = grid_model(start=4)
-        policies = enumerate_policies(15, 2)
         base = default_preferences(15)
         shifted = PreferenceModel(
             {k: v + 3.7 for k, v in base.log_preferences.items()}
         )
-        G0, _, _ = efe_table(model, state, policies, base)
-        G1, _, _ = efe_table(model, state, policies, shifted)
+        loc, obj = state.location.probs, state.object.probs
+        G0 = PlannerContext(model, base).scores(loc, obj, 2)
+        G1 = PlannerContext(model, shifted).scores(loc, obj, 2)
         assert np.allclose(softmax(-G0), softmax(-G1), atol=1e-12)
 
 
 class TestBatchAgreement:
-    def test_efe_table_matches_single_policy_path(self):
-        rng = np.random.default_rng(21)
-        model, _ = grid_model(start=6)
-        state = BeliefState(
-            CategoricalBelief(world.LOCATION, normalize(rng.random(15) + 1e-3)),
-            CategoricalBelief(world.OBJECT, normalize(rng.random(15) + 1e-3)),
-        )
-        policies = [tuple(rng.integers(15, size=2)) for _ in range(40)]
-        G, ig, ut = efe_table(model, state, policies)
-        for k, policy in enumerate(policies):
-            e = expected_free_energy(model, state, policy)
-            assert G[k] == pytest.approx(e.G, abs=1e-10)
-            assert ig[k] == pytest.approx(e.info_gain, abs=1e-10)
-
-    def test_planner_context_matches_efe_table(self):
+    def test_planner_context_matches_expected_free_energy(self):
         rng = np.random.default_rng(22)
         model, _ = grid_model(start=2)
         planner = PlannerContext(model)
@@ -218,10 +201,9 @@ class TestBatchAgreement:
                 CategoricalBelief(world.LOCATION, normalize(rng.random(15) + 1e-3)),
                 CategoricalBelief(world.OBJECT, normalize(rng.random(15) + 1e-3)),
             )
-            policies = enumerate_policies(15, horizon)
-            G_ref, _, _ = efe_table(model, state, policies)
+            G_ref = [expected_free_energy(model, state, p).G for p in enumerate_policies(15, horizon)]
             G_fast = planner.scores(state.location.probs, state.object.probs, horizon)
-            assert np.abs(G_ref - G_fast).max() < 1e-10
+            assert np.abs(np.asarray(G_ref) - G_fast).max() < 1e-10
 
 
 class TestPreferenceModel:
@@ -237,35 +219,28 @@ class TestPreferenceModel:
 
 
 class TestSelectAction:
+    """Action choice: a policy index drawn from softmax(-temperature * G)."""
+
     def test_equal_scores_sample_uniformly(self):
-        efes = [EFEBreakdown((a,), 0.5, 1.0) for a in range(4)]
+        G = np.full(4, -1.5)
         rng = np.random.default_rng(8)
         counts = np.bincount(
-            [select_action(efes, 1.0, rng) for _ in range(8000)], minlength=4
+            [sample_policy_index(G, 1.0, rng) for _ in range(8000)], minlength=4
         )
         assert np.all(np.abs(counts / 8000 - 0.25) < 0.02)
 
     def test_sharp_temperature_picks_argmin(self):
-        efes = [
-            EFEBreakdown((0,), 0.0, 0.0),
-            EFEBreakdown((1,), 0.0, 1.0),  # G = -1, the minimum
-        ]
+        G = np.array([0.0, -1.0])
         rng = np.random.default_rng(9)
-        picks = [select_action(efes, 200.0, rng) for _ in range(500)]
+        picks = [sample_policy_index(G, 200.0, rng) for _ in range(500)]
         assert np.mean(np.asarray(picks) == 1) > 0.999
 
     def test_softmax_probability_point_eight(self):
-        efes = [EFEBreakdown((0,), 0.0, 0.0), EFEBreakdown((1,), 0.0, -np.log(4))]
+        G = np.array([0.0, np.log(4)])
         rng = np.random.default_rng(10)
-        first = np.mean([select_action(efes, 1.0, rng) == 0 for _ in range(10_000)])
+        first = np.mean([sample_policy_index(G, 1.0, rng) == 0 for _ in range(10_000)])
         assert first == pytest.approx(0.8, abs=0.02)
 
-    def test_greedy_tie_breaks_low_index(self):
-        efes = [EFEBreakdown((2,), 0.0, 0.0), EFEBreakdown((1,), 0.0, 0.0)]
-        assert select_action(efes, 1.0, np.random.default_rng(0), mode="greedy") == 2
-
     def test_empty(self):
-        with pytest.raises(EmptyInput):
-            select_action([], 1.0, np.random.default_rng(0))
         with pytest.raises(EmptyInput):
             sample_policy_index(np.array([]), 1.0, np.random.default_rng(0))

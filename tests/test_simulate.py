@@ -1,7 +1,11 @@
 """Trial loop semantics, canonical scenarios, and the sweep machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefshare import planning, world
 from beliefshare.comms import CommMode, broadcast_round, integrated_object_belief
@@ -9,7 +13,6 @@ from beliefshare.errors import ConfigError, SweepTooLarge
 from beliefshare.model import BeliefState, initial_state, perceive
 from beliefshare.simulate import (
     AgentSpec,
-    GraphContext,
     ScenarioConfig,
     build_agent_models,
     bumped_prior,
@@ -19,10 +22,10 @@ from beliefshare.simulate import (
     run_trial,
     self_doubt_config,
     trial_seed,
+    worker_count,
 )
 
 GRAPH = world.default_graph()
-CTX = GraphContext(GRAPH)
 
 
 def sweep_style_config(starts, obj, mode, seed, steps=8, **kwargs):
@@ -43,8 +46,9 @@ def reference_trial(config):
 
     Must consume the generator in exactly the same order as run_trial.
     """
-    models = build_agent_models(config, CTX)
+    models = build_agent_models(config)
     states = [initial_state(m) for m in models]
+    cum_A1 = np.cumsum(models[0].A_location.table, axis=0)
     env = world.WorldState(
         tuple(s.start_node for s in config.agents), config.object_location
     )
@@ -62,7 +66,7 @@ def reference_trial(config):
         loc_obs = [None] * n_agents
         vis_obs = [None] * n_agents
         if need_draws:
-            bundle = world.env_observe(env, rng, A1=CTX.A1, A2=CTX.A2)
+            bundle = world.env_observe(env, rng, cum_A1, models[0].A_visibility.table)
             if config.observe_location:
                 loc_obs = list(bundle.location)
             if config.observe_visibility and config.scripted_visibility is None:
@@ -110,22 +114,49 @@ def reference_trial(config):
     return np.array(object_beliefs), np.array(location_beliefs), all_actions, found, steps_to_find
 
 
+def assert_matches_reference(config):
+    result = run_trial(config)
+    obj_ref, loc_ref, actions_ref, found_ref, steps_ref = reference_trial(config)
+    assert result.found == found_ref
+    assert result.steps_to_find == steps_ref
+    assert result.trace.object_beliefs.shape == obj_ref.shape
+    assert np.abs(result.trace.object_beliefs - obj_ref).max() < 1e-12
+    assert np.abs(result.trace.location_beliefs - loc_ref).max() < 1e-12
+    acted = result.trace.actions[: len(actions_ref)]
+    assert [list(a) for a in acted] == actions_ref
+
+
+@st.composite
+def random_graph_configs(draw):
+    """Connected graphs of 2-8 nodes, 1-3 agents with their own priors, any channel."""
+    n = draw(st.integers(2, 8))
+    # a random spanning tree keeps the graph connected; extra edges vary its shape
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    agents = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        agents.append(AgentSpec(draw(st.integers(0, n - 1)), weights / weights.sum()))
+    return ScenarioConfig(
+        graph=world.WorldGraph.from_edges(n, edges),
+        agents=agents,
+        object_location=draw(st.none() | st.integers(0, n - 1)),
+        comm_mode=draw(st.sampled_from(list(CommMode))),
+        horizon=draw(st.integers(1, 2)),
+        steps=draw(st.integers(1, 6)),
+        temperature=4.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
 class TestTrialLoopEquivalence:
     @pytest.mark.parametrize(
         "mode", [CommMode.NONE, CommMode.POSTERIOR_SHARING, CommMode.LIKELIHOOD_SHARING]
     )
     def test_matches_contract_composition(self, mode):
         for seed in (0, 1, 2):
-            config = sweep_style_config((3, 12), 9, mode, seed)
-            result = run_trial(config, CTX)
-            obj_ref, loc_ref, actions_ref, found_ref, steps_ref = reference_trial(config)
-            assert result.found == found_ref
-            assert result.steps_to_find == steps_ref
-            assert result.trace.object_beliefs.shape == obj_ref.shape
-            assert np.abs(result.trace.object_beliefs - obj_ref).max() < 1e-12
-            assert np.abs(result.trace.location_beliefs - loc_ref).max() < 1e-12
-            acted = result.trace.actions[: len(actions_ref)]
-            assert [list(a) for a in acted] == actions_ref
+            assert_matches_reference(sweep_style_config((3, 12), 9, mode, seed))
 
     def test_matches_on_scripted_and_frozen_configs(self):
         configs = [
@@ -133,17 +164,19 @@ class TestTrialLoopEquivalence:
             self_doubt_config(CommMode.LIKELIHOOD_SHARING, scripted=True, steps=5),
         ]
         for config in configs:
-            result = run_trial(config, CTX)
-            obj_ref, loc_ref, _, _, _ = reference_trial(config)
-            assert np.abs(result.trace.object_beliefs - obj_ref).max() < 1e-12
-            assert np.abs(result.trace.location_beliefs - loc_ref).max() < 1e-12
+            assert_matches_reference(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graph_configs())
+    def test_matches_on_random_graphs(self, config):
+        assert_matches_reference(config)
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         config = sweep_style_config((0, 14), 6, CommMode.LIKELIHOOD_SHARING, 77, steps=12)
-        a = run_trial(config, CTX)
-        b = run_trial(config, CTX)
+        a = run_trial(config)
+        b = run_trial(config)
         assert a.found == b.found and a.steps_to_find == b.steps_to_find
         assert np.array_equal(a.trace.object_beliefs, b.trace.object_beliefs)
         assert np.array_equal(a.trace.location_beliefs, b.trace.location_beliefs)
@@ -153,14 +186,14 @@ class TestDeterminism:
 
     def test_trace_rows_normalized(self):
         config = sweep_style_config((2, 8), 4, CommMode.POSTERIOR_SHARING, 3, steps=10)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         assert np.allclose(trace.object_beliefs.sum(axis=2), 1.0, atol=1e-9)
         assert np.allclose(trace.location_beliefs.sum(axis=2), 1.0, atol=1e-9)
 
     def test_seed_changes_trajectory(self):
         base = sweep_style_config((0, 14), 6, CommMode.NONE, 1, steps=12)
         other = sweep_style_config((0, 14), 6, CommMode.NONE, 2, steps=12)
-        a, b = run_trial(base, CTX), run_trial(other, CTX)
+        a, b = run_trial(base), run_trial(other)
         assert not np.array_equal(a.trace.observations, b.trace.observations)
 
 
@@ -195,7 +228,7 @@ class TestFindCriterion:
     def test_absent_object_never_found(self):
         for mode in CommMode:
             config = echo_chamber_config(mode, steps=4)
-            result = run_trial(config, CTX)
+            result = run_trial(config)
             assert not result.found and result.steps_to_find is None
 
     def test_sharp_prior_on_object_found_fast(self):
@@ -213,12 +246,12 @@ class TestFindCriterion:
                 seed=seed,
                 record_trace=False,
             )
-            found += run_trial(config, CTX).found
+            found += run_trial(config).found
         assert found / n >= 0.95
 
     def test_steps_to_find_within_bounds(self):
         config = sweep_style_config((9,), 9, CommMode.NONE, 5, steps=10)
-        result = run_trial(config, CTX)
+        result = run_trial(config)
         if result.found:
             assert 1 <= result.steps_to_find <= 10
 
@@ -227,8 +260,8 @@ class TestFindCriterion:
         for k in range(40):
             seed = trial_seed(7, k)
             starts = (k % 15, (k * 7) % 15)
-            short = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=6), CTX)
-            long = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=12), CTX)
+            short = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=6))
+            long = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=12))
             if short.found:
                 assert long.found
                 assert long.steps_to_find == short.steps_to_find
@@ -237,7 +270,7 @@ class TestFindCriterion:
 class TestEchoChamberScenario:
     def test_posterior_sharing_amplifies_to_ceiling(self):
         config = echo_chamber_config(CommMode.POSTERIOR_SHARING)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         prior_mass = bumped_prior(15, (11, 13))[[11, 13]].sum()
         for agent in range(2):
             mass = trace.object_beliefs[:, agent, [11, 13]].sum(axis=1)
@@ -255,7 +288,7 @@ class TestEchoChamberScenario:
     def test_posterior_sharing_strict_increase_at_gentle_bump(self):
         # a 5% bump keeps every one of the 10 steps strictly increasing
         config = echo_chamber_config(CommMode.POSTERIOR_SHARING, bump_ratio=1.05)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         mass = trace.object_beliefs[:, 0, [11, 13]].sum(axis=1)
         seq = np.concatenate([[bumped_prior(15, (11, 13), 1.05)[[11, 13]].sum()], mass])
         assert all(b > a for a, b in zip(seq, seq[1:]))
@@ -263,13 +296,13 @@ class TestEchoChamberScenario:
 
     def test_likelihood_sharing_beliefs_constant(self):
         config = echo_chamber_config(CommMode.LIKELIHOOD_SHARING)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         prior = bumped_prior(15, (11, 13))
         assert np.abs(trace.object_beliefs - prior).max() < 1e-9
 
     def test_no_comm_beliefs_constant(self):
         config = echo_chamber_config(CommMode.NONE)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         prior = bumped_prior(15, (11, 13))
         assert np.abs(trace.object_beliefs - prior).max() < 1e-9
 
@@ -292,14 +325,14 @@ class TestSelfDoubtScenario:
         return belief
 
     def test_posterior_sharing_overrides_evidence(self):
-        trace = run_trial(self_doubt_config(CommMode.POSTERIOR_SHARING, scripted=True), CTX).trace
+        trace = run_trial(self_doubt_config(CommMode.POSTERIOR_SHARING, scripted=True)).trace
         after_round_one = trace.object_beliefs[0, :, 1]
         oracle = self.scripted_oracle(CommMode.POSTERIOR_SHARING)
         assert np.all(after_round_one >= 0.99)
         assert np.abs(after_round_one - oracle[1]).max() < 1e-6
 
     def test_likelihood_sharing_accepts_evidence(self):
-        trace = run_trial(self_doubt_config(CommMode.LIKELIHOOD_SHARING, scripted=True), CTX).trace
+        trace = run_trial(self_doubt_config(CommMode.LIKELIHOOD_SHARING, scripted=True)).trace
         after_round_one = trace.object_beliefs[0, :, 1]
         oracle = self.scripted_oracle(CommMode.LIKELIHOOD_SHARING)
         assert np.abs(after_round_one - oracle[1]).max() < 1e-6
@@ -307,11 +340,24 @@ class TestSelfDoubtScenario:
 
     def test_single_agent_odds_drop_factor_four(self):
         config = self_doubt_config(CommMode.NONE, scripted=True, n_agents=1, steps=1)
-        trace = run_trial(config, CTX).trace
+        trace = run_trial(config).trace
         prior = peaked_prior(15, 1, 0.95)
         prior_odds = prior[1] / prior[0]
         post = trace.object_beliefs[0, 0]
         assert post[1] / post[0] == pytest.approx(prior_odds / 4, rel=1e-9)
+
+
+def sweep_template(graph, n_agents=1, steps=4, seed=5, **kwargs):
+    uniform = np.ones(graph.n_nodes) / graph.n_nodes
+    return ScenarioConfig(
+        graph=graph,
+        agents=[AgentSpec(0, uniform.copy()) for _ in range(n_agents)],
+        object_location=None,
+        comm_mode=CommMode.NONE,
+        steps=steps,
+        seed=seed,
+        **kwargs,
+    )
 
 
 class TestSweep:
@@ -319,14 +365,10 @@ class TestSweep:
 
     def test_counts_and_pairing(self):
         result = run_sweep(
-            modes=("likelihood_sharing", "none"),
-            repeats=2,
-            graph=self.SMALL,
-            n_agents=1,
-            steps=4,
-            master_seed=5,
+            sweep_template(self.SMALL, seed=5), modes=("likelihood_sharing", "none"), repeats=2
         )
         per_mode = 3 * 3 * 2
+        assert result.master_seed == 5
         assert result.aggregates["likelihood_sharing"][2] == per_mode
         assert len(result.rows) == per_mode * 2
         by_mode = {
@@ -340,32 +382,52 @@ class TestSweep:
         assert [r.trial_id for r in result.rows] == list(range(len(result.rows)))
 
     def test_deterministic_across_runs(self):
-        kwargs = dict(
-            modes=("none", "random"), repeats=2, graph=self.SMALL,
-            n_agents=1, steps=4, master_seed=9,
-        )
-        a, b = run_sweep(**kwargs), run_sweep(**kwargs)
+        template = sweep_template(self.SMALL, seed=9)
+        a = run_sweep(template, modes=("none", "random"), repeats=2)
+        b = run_sweep(template, modes=("none", "random"), repeats=2)
         assert a.aggregates == b.aggregates
         assert [(r.found, r.steps_to_find) for r in a.rows] == [
             (r.found, r.steps_to_find) for r in b.rows
         ]
 
     def test_parallel_equals_serial(self):
-        kwargs = dict(
-            modes=("none",), repeats=2, graph=self.SMALL,
-            n_agents=1, steps=4, master_seed=11,
-        )
-        serial = run_sweep(jobs=1, **kwargs)
-        parallel = run_sweep(jobs=2, **kwargs)
+        template = sweep_template(self.SMALL, seed=11)
+        serial = run_sweep(template, modes=("none",), repeats=2, jobs=1)
+        parallel = run_sweep(template, modes=("none",), repeats=2, jobs=2)
         assert serial.aggregates == parallel.aggregates
         assert [(r.trial_id, r.found) for r in serial.rows] == [
             (r.trial_id, r.found) for r in parallel.rows
         ]
 
+    def test_template_settings_reach_trials(self):
+        # an agent that cannot see the object never finds it, whatever the mode
+        blind = sweep_template(self.SMALL, steps=6, observe_visibility=False)
+        result = run_sweep(blind, modes=("likelihood_sharing", "random"), repeats=2)
+        assert not any(r.found for r in result.rows)
+
+    def test_rejects_fixed_object_and_random_policy(self):
+        with pytest.raises(ConfigError, match="^object"):
+            run_sweep(replace(sweep_template(self.SMALL), object_location=1), repeats=1)
+        with pytest.raises(ConfigError, match="^action_policy"):
+            run_sweep(replace(sweep_template(self.SMALL), action_policy="random"), repeats=1)
+
     def test_cap(self):
         with pytest.raises(SweepTooLarge):
-            run_sweep(repeats=5, graph=GRAPH, n_agents=3, cap=10_000)
+            run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5, cap=10_000)
 
     def test_bad_repeats(self):
         with pytest.raises(ConfigError):
-            run_sweep(repeats=0, graph=self.SMALL, n_agents=1)
+            run_sweep(sweep_template(self.SMALL), repeats=0)
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_tasks(self):
+        assert worker_count(8, 100, 2) == 2
+        assert worker_count(8, 3, 16) == 3
+        assert worker_count(2, 100, 16) == 2
+        assert worker_count(10**6, 10**6, 4) == 4
+
+    def test_at_least_one(self):
+        assert worker_count(0, 10, 4) == 1
+        assert worker_count(-3, 10, 4) == 1
+        assert worker_count(4, 10, None) == 1

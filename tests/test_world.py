@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from beliefshare.errors import ConfigError
 from beliefshare.world import (
     VISIBLE,
     WorldGraph,
@@ -19,6 +20,14 @@ from beliefshare.world import (
     load_graph_fixture,
     parse_graph_text,
 )
+
+
+def observation_tensors(n_nodes):
+    """The (cum_A1, A2) pair env_observe draws from, for an n-node world."""
+    return np.cumsum(build_A1(n_nodes).table, axis=0), build_A2(n_nodes).table
+
+
+GRID_TENSORS = observation_tensors(15)
 
 
 @pytest.fixture
@@ -44,6 +53,11 @@ class TestWorldGraph:
         g = default_graph()
         again = parse_graph_text(format_graph_text(g))
         assert np.array_equal(g.adjacency, again.adjacency)
+
+    def test_malformed_fixture_line_names_the_line(self):
+        for bad in ("x: 0", "0: 1,y", "-1: 0"):
+            with pytest.raises(ConfigError, match="line 2"):
+                parse_graph_text(f"0: 1\n{bad}\n")
 
     def test_shipped_fixture_matches_grid(self):
         assert np.array_equal(load_graph_fixture().adjacency, default_graph().adjacency)
@@ -127,14 +141,14 @@ class TestEnvStep:
 class TestEnvObserve:
     def test_seed_determinism(self):
         state = WorldState((3, 7), 3)
-        a = env_observe(state, np.random.default_rng(99), n_nodes=15)
-        b = env_observe(state, np.random.default_rng(99), n_nodes=15)
+        a = env_observe(state, np.random.default_rng(99), *GRID_TENSORS)
+        b = env_observe(state, np.random.default_rng(99), *GRID_TENSORS)
         assert a == b
 
     def test_visibility_frequencies(self):
         state = WorldState((3, 7), 3)
         rng = np.random.default_rng(1234)
-        draws = [env_observe(state, rng, n_nodes=15) for _ in range(10_000)]
+        draws = [env_observe(state, rng, *GRID_TENSORS) for _ in range(10_000)]
         co_located = np.mean([d.visibility[0] == VISIBLE for d in draws])
         apart = np.mean([d.visibility[1] == VISIBLE for d in draws])
         assert co_located == pytest.approx(0.8, abs=0.02)
@@ -146,7 +160,7 @@ class TestEnvObserve:
         counts = np.zeros(15)
         n = 10_000
         for _ in range(n):
-            counts[env_observe(state, rng, n_nodes=15).location[0]] += 1
+            counts[env_observe(state, rng, *GRID_TENSORS).location[0]] += 1
         expected = build_A1(15).table[:, 5] * n
         assert chisquare(counts, expected).pvalue > 1e-3
 
@@ -154,12 +168,12 @@ class TestEnvObserve:
         state = WorldState((5,), None)
         rng = np.random.default_rng(777)
         freq = np.mean(
-            [env_observe(state, rng, n_nodes=15).visibility[0] == VISIBLE for _ in range(10_000)]
+            [env_observe(state, rng, *GRID_TENSORS).visibility[0] == VISIBLE for _ in range(10_000)]
         )
         assert freq == pytest.approx(0.2, abs=0.02)
 
     def test_single_node_world(self):
         state = WorldState((0,), 0)
         rng = np.random.default_rng(5)
-        bundle = env_observe(state, rng, n_nodes=1)
+        bundle = env_observe(state, rng, *observation_tensors(1))
         assert bundle.location == (0,)
