@@ -55,7 +55,6 @@ from .world import (
     build_A1,
     build_A2,
     build_B1,
-    build_B2,
     default_graph,
     env_observe,
     env_step,

@@ -61,13 +61,13 @@ def normalize(v) -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Stable softmax; invariant to adding a constant to all entries."""
+    """Stable softmax over the last axis; invariant to adding a constant to a row."""
     z = np.asarray(logits, dtype=float)
     if z.size == 0:
         raise EmptyInput("softmax of an empty vector")
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def kl_divergence(q: np.ndarray, p: np.ndarray) -> float:

@@ -35,7 +35,6 @@ class AgentModel:
     A_location: LikelihoodTensor
     A_visibility: LikelihoodTensor
     B_location: TransitionTensor
-    B_object: TransitionTensor
     location_prior: CategoricalBelief
     object_prior: CategoricalBelief
     preferences: PreferenceModel = field(default_factory=lambda: PreferenceModel({}))
@@ -66,7 +65,6 @@ def make_agent_model(
         A_location=world.build_A1(n),
         A_visibility=world.build_A2(n),
         B_location=world.build_B1(graph),
-        B_object=world.build_B2(n),
         location_prior=CategoricalBelief(world.LOCATION, loc_prior),
         object_prior=CategoricalBelief(world.OBJECT, np.asarray(object_prior, dtype=float)),
         preferences=preferences,
@@ -118,14 +116,15 @@ def initial_state(model: AgentModel) -> BeliefState:
 
 
 def prior_messages(model: AgentModel, state: BeliefState) -> tuple:
-    """Prior messages for the next update: initial priors at t=0, dynamics after."""
+    """Prior messages for the next update: initial priors at t=0, dynamics after.
+
+    The object never moves, so its prior message is its current belief.
+    """
     if state.last_action is None:
         loc_msg = LogMessage(world.LOCATION, floored_log(state.location.probs))
-        obj_msg = LogMessage(world.OBJECT, floored_log(state.object.probs))
     else:
         loc_msg = transition_prediction(model.B_location, state.location, state.last_action)
-        obj_msg = transition_prediction(model.B_object, state.object, 0)
-    return loc_msg, obj_msg
+    return loc_msg, LogMessage(world.OBJECT, floored_log(state.object.probs))
 
 
 def perceive(

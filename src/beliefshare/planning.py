@@ -71,6 +71,7 @@ def rollout_predict(model, beliefs, policy) -> tuple:
     Returns (states, observations): two lists with one entry per step,
     ``states[t]`` mapping factor id to a belief vector and
     ``observations[t]`` mapping modality id to an outcome distribution.
+    The object never moves, so its belief is the same at every step.
     """
     loc = beliefs.location.probs.copy()
     obj = beliefs.object.probs.copy()
@@ -78,7 +79,6 @@ def rollout_predict(model, beliefs, policy) -> tuple:
     observations = []
     for action in policy:
         loc = model.B_location.table[:, :, action] @ loc
-        obj = model.B_object.table[:, :, 0] @ obj
         states.append({world.LOCATION: loc, world.OBJECT: obj})
         obs = {}
         if model.observe_visibility:
@@ -136,8 +136,10 @@ class PlannerContext:
 
     Scores the full lexicographic policy product without per-call tensor
     rebuilds; ``scores()`` agrees with ``expected_free_energy`` policy by
-    policy. Also carries the log and cumulative observation tables the
-    trial loop perceives with, so one context serves a whole trial.
+    policy. Moves follow the graph's rule, not the dense dynamics tensor:
+    a move to an adjacent target goes there, any other target stays put.
+    Also carries the log and cumulative observation tables the trial loop
+    perceives with, so one context serves a whole trial.
     """
 
     def __init__(self, model, prefs: PreferenceModel | None = None):
@@ -145,13 +147,12 @@ class PlannerContext:
             prefs = model.preferences
         A2 = model.A_visibility.table
         A1 = model.A_location.table
-        self.n_actions = model.B_location.n_actions
-        self.A1 = A1
+        self.n_actions = model.n_nodes
         self.A1T = np.ascontiguousarray(A1.T)
         self.A2 = A2
-        self.BT = np.ascontiguousarray(model.B_location.table.transpose(2, 0, 1))
-        self.BT_flat = self.BT.reshape(-1, self.BT.shape[2])
-        self.B2m = np.ascontiguousarray(model.B_object.table[:, :, 0])
+        self.adj = model.graph.adjacency.astype(float)
+        self.stay = 1.0 - self.adj
+        self.nodes = np.arange(model.n_nodes)
         self.log_A1 = floored_log(A1)
         self.log_A2 = floored_log(A2)
         self.cum_A1 = np.cumsum(A1, axis=0)
@@ -162,6 +163,18 @@ class PlannerContext:
         self.has_c_loc = bool(np.any(self.c_loc))
         self.observe_visibility = model.observe_visibility
         self.observe_location = model.observe_location
+
+    def moves(self, locs: np.ndarray) -> np.ndarray:
+        """Location beliefs (..., n) moved by every action: shape (..., n_actions, n).
+
+        Action a keeps the mass of nodes not adjacent to a and collects the
+        rest on node a. A 2-D ``locs`` makes the moved mass one matrix
+        product; a stack of single rows makes it one matrix-vector product
+        per row, which rounds exactly as a single belief's move does.
+        """
+        out = locs[..., None, :] * self.stay
+        out[..., self.nodes, self.nodes] = locs @ self.adj.T
+        return out
 
     def _step_scores(self, locs: np.ndarray, obj: np.ndarray) -> np.ndarray:
         """-(info gain + utility) of one predicted step for a batch of location beliefs."""
@@ -183,16 +196,16 @@ class PlannerContext:
         return score
 
     def scores(self, loc: np.ndarray, obj: np.ndarray, horizon: int) -> np.ndarray:
-        """G over all n_actions**horizon policies in lexicographic order."""
-        n = self.n_actions
-        locs = (self.BT_flat @ loc).reshape(n, -1)
-        obj = self.B2m @ obj
-        G = self._step_scores(locs, obj)
-        for _ in range(1, horizon):
+        """G over all n_actions**horizon policies in lexicographic order.
+
+        The object never moves, so every step scores against the same ``obj``.
+        """
+        locs = loc[None]
+        G = np.zeros(1)
+        for _ in range(horizon):
             # grow the batch: every current trajectory extended by every action
-            locs = np.tensordot(locs, self.BT, axes=([1], [2])).reshape(-1, locs.shape[1])
-            obj = self.B2m @ obj
-            G = np.repeat(G, n) + self._step_scores(locs, obj)
+            locs = self.moves(locs).reshape(-1, locs.shape[1])
+            G = np.repeat(G, self.n_actions) + self._step_scores(locs, obj)
         return G
 
 

@@ -5,10 +5,13 @@ halting early once any agent standing on the object's node draws a visible
 outcome. Everything is driven by one seeded generator, so a (config, seed)
 pair pins the whole trajectory down to the emitted CSV bytes.
 
-The trial loop works on raw probability vectors for speed; it mirrors the
-contract operations (model.perceive, comms.broadcast_round, planning
-scores) exactly, and the test suite holds the two paths to bit-identical
-agreement.
+The trial loop holds every agent's beliefs as rows of (agents, nodes)
+arrays and perceives, broadcasts and integrates for all agents at once;
+only action choice runs agent by agent, in a fixed order, because each
+choice draws from the generator. The loop computes what the contract
+operations (model.perceive, comms.broadcast_round, PlannerContext.scores)
+compute one agent at a time, and the test suite holds the two paths to
+agreement within 1e-12.
 """
 
 import hashlib
@@ -22,17 +25,10 @@ import numpy as np
 from . import planning, world
 from .comms import CommMode, SharedMessage
 from .errors import ConfigError, SweepTooLarge
-from .inference import MAX_SWEEPS, SWEEP_TOL, CategoricalBelief, LogMessage, floored_log
+from .inference import MAX_SWEEPS, SWEEP_TOL, CategoricalBelief, LogMessage, floored_log, softmax
 from .model import AgentModel, default_preferences
 
 SWEEP_TRIAL_CAP = 200_000
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    # same operation order as inference.softmax, without the checks
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 FREE = "free"
 FROZEN = "frozen"
@@ -188,7 +184,7 @@ def build_agent_models(config: ScenarioConfig) -> list:
     graph = config.graph
     n = graph.n_nodes
     A1, A2 = world.build_A1(n), world.build_A2(n)
-    B1, B2 = world.build_B1(graph), world.build_B2(n)
+    B1 = world.build_B1(graph)
     prefs = default_preferences(n, config.visible_bonus)
     models = []
     for spec in config.agents:
@@ -200,7 +196,6 @@ def build_agent_models(config: ScenarioConfig) -> list:
                 A_location=A1,
                 A_visibility=A2,
                 B_location=B1,
-                B_object=B2,
                 location_prior=CategoricalBelief(world.LOCATION, loc_prior),
                 object_prior=CategoricalBelief(world.OBJECT, spec.object_prior),
                 preferences=prefs,
@@ -232,17 +227,15 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
         planner = _planner_context(config)
     n = config.graph.n_nodes
     n_agents = config.n_agents
+    agents = np.arange(n_agents)
     mode = config.comm_mode
     rng = np.random.default_rng(config.seed)
 
-    loc_beliefs = []
-    obj_beliefs = []
-    last_actions = [None] * n_agents
-    for spec in config.agents:
-        loc0 = np.zeros(n)
-        loc0[spec.start_node] = 1.0
-        loc_beliefs.append(loc0)
-        obj_beliefs.append(spec.object_prior.astype(float))
+    # row i of every (agents, nodes) array belongs to agent i
+    locs = np.zeros((n_agents, n))
+    locs[agents, [s.start_node for s in config.agents]] = 1.0
+    objs = np.array([s.object_prior for s in config.agents], dtype=float)
+    actions = None
     env = world.WorldState(tuple(s.start_node for s in config.agents), config.object_location)
 
     trace = None
@@ -257,151 +250,118 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
             messages=[],
         )
 
-    found = False
     steps_to_find = None
-    steps_run = 0
     need_env_draws = config.observe_location or (
         config.observe_visibility and config.scripted_visibility is None
     )
 
     for t in range(config.steps):
-        steps_run = t + 1
-
-        loc_obs = [None] * n_agents
-        vis_obs = [None] * n_agents
+        loc_obs = None
+        vis_obs = None
         if need_env_draws:
             bundle = world.env_observe(env, rng, planner.cum_A1, planner.A2)
             if config.observe_location:
-                loc_obs = list(bundle.location)
+                loc_obs = np.array(bundle.location)
             if config.observe_visibility and config.scripted_visibility is None:
-                vis_obs = list(bundle.visibility)
+                vis_obs = np.array(bundle.visibility)
         if config.scripted_visibility is not None:
-            vis_obs = [int(config.scripted_visibility[i][t]) for i in range(n_agents)]
+            vis_obs = np.array([seq[t] for seq in config.scripted_visibility], dtype=int)
 
-        # own-evidence update (mirrors model.perceive)
-        prior_obj_msgs = []
-        vis_msgs = []
-        own_posteriors = []
-        for i in range(n_agents):
-            if last_actions[i] is None:
-                prior_loc = floored_log(loc_beliefs[i])
-                prior_obj = floored_log(obj_beliefs[i])
-            else:
-                prior_loc = floored_log(planner.BT[last_actions[i]] @ loc_beliefs[i])
-                prior_obj = floored_log(planner.B2m @ obj_beliefs[i])
-            loc_ev = prior_loc if loc_obs[i] is None else prior_loc + planner.log_A1[loc_obs[i]]
-            if vis_obs[i] is None:
-                loc_belief = _softmax(loc_ev)
-                obj_own = _softmax(prior_obj)
-                vis_msg = None
-            else:
-                lw = planner.log_A2[vis_obs[i]]
-                loc_belief = _softmax(loc_ev)
-                obj_own = _softmax(prior_obj)
-                vis_msg = None
-                for _ in range(MAX_SWEEPS):
-                    new_loc = _softmax(loc_ev + lw @ obj_own)
-                    vis_msg = new_loc @ lw
-                    new_obj = _softmax(prior_obj + vis_msg)
-                    delta = max(
-                        np.abs(new_loc - loc_belief).max(),
-                        np.abs(new_obj - obj_own).max(),
-                    )
-                    loc_belief, obj_own = new_loc, new_obj
-                    if delta < SWEEP_TOL:
-                        break
-            loc_beliefs[i] = loc_belief
-            prior_obj_msgs.append(prior_obj)
-            vis_msgs.append(vis_msg)
-            own_posteriors.append(obj_own)
+        # own-evidence update (mirrors model.perceive); the object never moves
+        if actions is not None:
+            # one-row stacks keep each agent's move a matrix-vector product
+            locs = planner.moves(locs[:, None])[agents, 0, actions]
+        prior_loc = floored_log(locs)
+        prior_obj = floored_log(objs)
+        loc_ev = prior_loc if loc_obs is None else prior_loc + planner.log_A1[loc_obs]
+        locs = softmax(loc_ev)
+        own_objs = softmax(prior_obj)
+        vis_msgs = None
+        if vis_obs is not None:
+            lw = planner.log_A2[vis_obs]
+            vis_msgs = np.zeros((n_agents, n))
+            # each agent sweeps until its own beliefs settle, as it would alone
+            active = np.ones(n_agents, dtype=bool)
+            for _ in range(MAX_SWEEPS):
+                new_loc = softmax(loc_ev + (lw @ own_objs[:, :, None])[:, :, 0])
+                new_msg = (new_loc[:, None] @ lw)[:, 0]
+                new_obj = softmax(prior_obj + new_msg)
+                delta = np.maximum(
+                    np.abs(new_loc - locs).max(axis=1), np.abs(new_obj - own_objs).max(axis=1)
+                )
+                keep = active[:, None]
+                locs = np.where(keep, new_loc, locs)
+                own_objs = np.where(keep, new_obj, own_objs)
+                vis_msgs = np.where(keep, new_msg, vis_msgs)
+                active &= delta >= SWEEP_TOL
+                if not active.any():
+                    break
 
         # synchronous broadcast from the own-evidence snapshot
         if mode == CommMode.NONE:
             payloads = None
-        elif mode == CommMode.POSTERIOR_SHARING:
-            payloads = [floored_log(q) for q in own_posteriors]
-            payloads = [p - p.max() for p in payloads]
+            objs = own_objs
         else:
-            payloads = [
-                np.zeros(n) if m is None else m - m.max() for m in vis_msgs
-            ]
-
-        for i in range(n_agents):
-            if payloads is None:
-                obj_beliefs[i] = own_posteriors[i]
+            if mode == CommMode.POSTERIOR_SHARING:
+                payloads = floored_log(own_objs)
             else:
-                total = prior_obj_msgs[i].copy()
-                if vis_msgs[i] is not None:
-                    total += vis_msgs[i]
-                for j in range(n_agents):
-                    if j != i:
-                        total += payloads[j]
-                obj_beliefs[i] = _softmax(total)
+                payloads = np.zeros((n_agents, n)) if vis_msgs is None else vis_msgs
+            payloads = payloads - payloads.max(axis=1, keepdims=True)
+            total = prior_obj.copy() if vis_msgs is None else prior_obj + vis_msgs
+            # every receiver adds the other agents' payloads in ascending sender order
+            for sender in agents:
+                total[agents != sender] += payloads[sender]
+            objs = softmax(total)
 
         if trace is not None:
-            for i in range(n_agents):
-                trace.object_beliefs[t, i] = obj_beliefs[i]
-                trace.location_beliefs[t, i] = loc_beliefs[i]
-                trace.observations[t, i, 0] = -1 if loc_obs[i] is None else loc_obs[i]
-                trace.observations[t, i, 1] = -1 if vis_obs[i] is None else vis_obs[i]
-                trace.object_prior_msgs[t, i] = prior_obj_msgs[i]
-                if vis_msgs[i] is not None:
-                    trace.object_likelihood_sums[t, i] = vis_msgs[i]
-            round_messages = []
-            if payloads is not None:
-                for i in range(n_agents):
-                    for j in range(n_agents):
-                        if j != i:
-                            round_messages.append(
-                                (
-                                    i,
-                                    SharedMessage(
-                                        j,
-                                        world.OBJECT,
-                                        LogMessage(world.OBJECT, payloads[j].copy()),
-                                        mode,
-                                    ),
-                                )
-                            )
-            trace.messages.append(round_messages)
+            trace.object_beliefs[t] = objs
+            trace.location_beliefs[t] = locs
+            trace.observations[t, :, 0] = -1 if loc_obs is None else loc_obs
+            trace.observations[t, :, 1] = -1 if vis_obs is None else vis_obs
+            trace.object_prior_msgs[t] = prior_obj
+            if vis_msgs is not None:
+                trace.object_likelihood_sums[t] = vis_msgs
+            pairs = [] if payloads is None else [
+                (i, j) for i in range(n_agents) for j in range(n_agents) if j != i
+            ]
+            trace.messages.append([
+                (i, SharedMessage(j, world.OBJECT, LogMessage(world.OBJECT, payloads[j].copy()), mode))
+                for i, j in pairs
+            ])
 
-        if config.object_location is not None:
-            for i in range(n_agents):
-                if (
-                    env.agent_positions[i] == config.object_location
-                    and vis_obs[i] == world.VISIBLE
-                ):
-                    found = True
-                    steps_to_find = t + 1
-                    break
-        if found or t == config.steps - 1:
+        if config.object_location is not None and vis_obs is not None:
+            on_object = np.array(env.agent_positions) == config.object_location
+            if np.any(on_object & (vis_obs == world.VISIBLE)):
+                steps_to_find = t + 1
+        if steps_to_find is not None or t == config.steps - 1:
             break
 
-        actions = []
-        for i in range(n_agents):
+        actions = np.empty(n_agents, dtype=int)
+        for i in agents:
             if config.scripted_actions is not None:
-                actions.append(int(config.scripted_actions[i][t]))
+                actions[i] = config.scripted_actions[i][t]
             elif config.movement == FROZEN:
-                actions.append(env.agent_positions[i])
+                actions[i] = env.agent_positions[i]
             elif config.action_policy == RANDOM:
-                actions.append(int(rng.integers(n)))
+                actions[i] = rng.integers(n)
             else:
-                G = planner.scores(loc_beliefs[i], obj_beliefs[i], config.horizon)
+                G = planner.scores(locs[i], objs[i], config.horizon)
                 idx = planning.sample_policy_index(G, config.temperature, rng)
-                actions.append(idx // n ** (config.horizon - 1))
-            last_actions[i] = actions[i]
+                actions[i] = idx // n ** (config.horizon - 1)
         if trace is not None:
             trace.actions[t] = actions
         env = world.env_step(env, actions, config.graph)
 
     if trace is not None:
-        trace.object_beliefs = trace.object_beliefs[:steps_run]
-        trace.location_beliefs = trace.location_beliefs[:steps_run]
-        trace.actions = trace.actions[:steps_run]
-        trace.observations = trace.observations[:steps_run]
-        trace.object_prior_msgs = trace.object_prior_msgs[:steps_run]
-        trace.object_likelihood_sums = trace.object_likelihood_sums[:steps_run]
+        # the loop always ends at the break above, after t + 1 steps
+        trace.object_beliefs = trace.object_beliefs[: t + 1]
+        trace.location_beliefs = trace.location_beliefs[: t + 1]
+        trace.actions = trace.actions[: t + 1]
+        trace.observations = trace.observations[: t + 1]
+        trace.object_prior_msgs = trace.object_prior_msgs[: t + 1]
+        trace.object_likelihood_sums = trace.object_likelihood_sums[: t + 1]
 
+    found = steps_to_find is not None
     return TrialResult(found, steps_to_find, trace, config.config_hash(), config.seed)
 
 
@@ -582,14 +542,15 @@ def run_sweep(
     if template.action_policy != PLANNED:
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
     n = template.graph.n_nodes
+    total = n ** (template.n_agents + 1) * repeats * len(modes)
+    if total > cap:
+        raise SweepTooLarge(f"{total} trials exceed the cap of {cap}")
+    planning.enumerate_policies(n, template.horizon)  # enforces the cap
     combos = [
         (starts, obj)
         for starts in product(range(n), repeat=template.n_agents)
         for obj in range(n)
     ]
-    total = len(combos) * repeats * len(modes)
-    if total > cap:
-        raise SweepTooLarge(f"{total} trials exceed the cap of {cap}")
 
     # Enumerate deterministically: modes outer, then combo, then repeat.
     tasks = []

@@ -142,11 +142,6 @@ def build_B1(graph: WorldGraph) -> TransitionTensor:
     return TransitionTensor(LOCATION, table)
 
 
-def build_B2(n_nodes: int) -> TransitionTensor:
-    """Static object dynamics: the identity, indifferent to the (single) action."""
-    return TransitionTensor(OBJECT, np.eye(n_nodes)[:, :, None])
-
-
 def build_A1(n_nodes: int) -> LikelihoodTensor:
     """Near-identity location observation: 0.99 on the diagonal.
 

@@ -288,6 +288,17 @@ class TestSweepInputs:
         assert code == EXIT_USAGE
         assert len(err) == 1 and "line 2" in err[0]
 
+    def test_policy_cap_exit(self, tmp_path, capsys):
+        # 15**4 policies on the shipped grid; one-step trials never plan
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(
+            "comm_mode = none\nsteps = 1\nhorizon = 4\nagent = 0 | uniform\nsweep_modes = none\n"
+        )
+        argv = ["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(tmp_path / "out")]
+        code, err = run_main(argv, capsys)
+        assert code == EXIT_CAP
+        assert len(err) == 1 and "policies" in err[0]
+
     def test_jobs_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.JOBS_ENV_VAR, "abc")
         code, err, _ = self.sweep(tmp_path, capsys)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefshare import world
 from beliefshare.errors import EmptyInput, PolicySpaceTooLarge
@@ -86,9 +88,10 @@ def brute_force_breakdown(model, state, policy):
     info_gain = 0.0
     utility = 0.0
     prefs = model.preferences
+    B_object = np.eye(obj.size)  # the object never moves
     for action in policy:
         loc = model.B_location.table[:, :, action] @ loc
-        obj = model.B_object.table[:, :, 0] @ obj
+        obj = B_object @ obj
         if model.observe_visibility:
             A2 = model.A_visibility.table
             joint = loc[:, None] * obj[None, :]
@@ -191,19 +194,65 @@ class TestExpectedFreeEnergy:
         assert np.allclose(softmax(-G0), softmax(-G1), atol=1e-12)
 
 
+def random_connected_graph(rng, n):
+    """A random spanning tree on n nodes plus up to n extra edges."""
+    edges = [(i, int(rng.integers(i))) for i in range(1, n)]
+    edges += [tuple(rng.choice(n, 2, replace=False)) for _ in range(rng.integers(n + 1))]
+    return world.WorldGraph.from_edges(n, edges)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of 2-8 nodes: a random spanning tree plus extra edges."""
+    n = draw(st.integers(2, 8))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return world.WorldGraph.from_edges(n, edges)
+
+
+class TestMovementRule:
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**32 - 1))
+    def test_moves_match_dense_dynamics(self, graph, seed):
+        n = graph.n_nodes
+        rng = np.random.default_rng(seed)
+        planner = PlannerContext(make_agent_model(graph, 0, np.ones(n) / n))
+        B1 = world.build_B1(graph).table
+        locs = rng.dirichlet(np.ones(n), size=3)
+        dense = np.einsum("ija,kj->kai", B1, locs)  # belief k moved by action a
+        assert np.abs(planner.moves(locs) - dense).max() <= 1e-12
+        # the trial loop's form: a stack of one-row beliefs
+        assert np.abs(planner.moves(locs[:, None])[:, 0] - dense).max() <= 1e-12
+
+    def test_context_holds_no_cubic_array(self):
+        model, _ = grid_model()
+        planner = PlannerContext(model)
+        arrays = [v for v in vars(planner).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size < 15**3 for a in arrays)
+
+
 class TestBatchAgreement:
     def test_planner_context_matches_expected_free_energy(self):
         rng = np.random.default_rng(22)
-        model, _ = grid_model(start=2)
-        planner = PlannerContext(model)
-        for horizon in (1, 2):
-            state = BeliefState(
-                CategoricalBelief(world.LOCATION, normalize(rng.random(15) + 1e-3)),
-                CategoricalBelief(world.OBJECT, normalize(rng.random(15) + 1e-3)),
-            )
-            G_ref = [expected_free_energy(model, state, p).G for p in enumerate_policies(15, horizon)]
-            G_fast = planner.scores(state.location.probs, state.object.probs, horizon)
-            assert np.abs(np.asarray(G_ref) - G_fast).max() < 1e-10
+        path = world.WorldGraph.from_edges(5, [(i, i + 1) for i in range(4)])
+        cases = [
+            (world.default_graph(), (1, 2)),
+            (path, (1, 2, 3)),
+            (random_connected_graph(np.random.default_rng(23), 6), (1, 2, 3)),
+        ]
+        for graph, horizons in cases:
+            n = graph.n_nodes
+            model = make_agent_model(graph, start_node=min(2, n - 1), object_prior=np.ones(n) / n)
+            planner = PlannerContext(model)
+            for horizon in horizons:
+                state = BeliefState(
+                    CategoricalBelief(world.LOCATION, normalize(rng.random(n) + 1e-3)),
+                    CategoricalBelief(world.OBJECT, normalize(rng.random(n) + 1e-3)),
+                )
+                G_ref = [expected_free_energy(model, state, p).G for p in enumerate_policies(n, horizon)]
+                G_fast = planner.scores(state.location.probs, state.object.probs, horizon)
+                assert np.abs(np.asarray(G_ref) - G_fast).max() < 1e-10
 
 
 class TestPreferenceModel:

@@ -1,5 +1,6 @@
 """Trial loop semantics, canonical scenarios, and the sweep machinery."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,25 @@ class TestTrialLoopEquivalence:
     @given(random_graph_configs())
     def test_matches_on_random_graphs(self, config):
         assert_matches_reference(config)
+
+    def test_silent_agents_step_exactly_as_if_alone(self):
+        # no draws and no channel: each agent's row is bit-identical to its trial alone
+        agents = [AgentSpec(3, peaked_prior(15, 3, 0.9)), AgentSpec(12, bumped_prior(15, (1, 12)))]
+        actions = [[4, 9, 9, 14, 13, 8], [11, 6, 1, 1, 2, 3]]
+        visibility = [[1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1]]
+        config = ScenarioConfig(
+            graph=GRAPH, agents=agents, object_location=None, comm_mode=CommMode.NONE,
+            steps=6, observe_location=False, scripted_actions=actions,
+            scripted_visibility=visibility,
+        )
+        together = run_trial(config).trace
+        for i in range(2):
+            alone = run_trial(replace(
+                config, agents=[agents[i]], scripted_actions=[actions[i]],
+                scripted_visibility=[visibility[i]],
+            )).trace
+            assert np.array_equal(together.object_beliefs[:, i], alone.object_beliefs[:, 0])
+            assert np.array_equal(together.location_beliefs[:, i], alone.location_beliefs[:, 0])
 
 
 class TestDeterminism:
@@ -414,6 +434,18 @@ class TestSweep:
     def test_cap(self):
         with pytest.raises(SweepTooLarge):
             run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5, cap=10_000)
+
+    def test_cap_checked_before_enumerating(self):
+        # listing all 15**5 (starts, object) combinations first peaked at ~50 MB
+        template = sweep_template(GRAPH, n_agents=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SweepTooLarge):
+                run_sweep(template, repeats=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bad_repeats(self):
         with pytest.raises(ConfigError):

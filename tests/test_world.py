@@ -12,7 +12,6 @@ from beliefshare.world import (
     build_A1,
     build_A2,
     build_B1,
-    build_B2,
     default_graph,
     env_observe,
     env_step,
@@ -85,10 +84,6 @@ class TestBuilders:
     def test_B1_columns_stochastic(self):
         B1 = build_B1(default_graph())
         assert np.allclose(B1.table.sum(axis=0), 1.0, atol=1e-9)
-
-    def test_B2_is_identity(self):
-        B2 = build_B2(4)
-        assert np.array_equal(B2.table[:, :, 0], np.eye(4))
 
     def test_A1_two_nodes(self):
         A1 = build_A1(2)
