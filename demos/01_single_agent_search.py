@@ -34,25 +34,27 @@ def main():
     model = make_agent_model(graph, start_node=start, object_prior=np.ones(15) / 15)
     state = initial_state(model)
     planner = planning.PlannerContext(model)
-    env = world.WorldState((start,), object_location)
+    positions = np.array([start])
 
     print(f"object hidden at node {object_location}, agent starts at node {start}")
     print("belief heat uses", repr(SHADES), "from low to high\n")
 
     for t in range(20):
-        bundle = world.env_observe(env, rng, planner.cum_A1, planner.A2)
-        update = perceive(model, state, bundle.location[0], bundle.visibility[0])
+        loc_obs, vis_obs = world.env_observe(
+            positions, object_location, rng, planner.cum_A1, planner.A2
+        )
+        update = perceive(model, state, loc_obs[0], vis_obs[0])
         state.location = update.location
         state.object = update.object
 
-        pos = env.agent_positions[0]
-        saw = "visible!" if bundle.visibility[0] == world.VISIBLE else "nothing"
+        pos = positions[0]
+        saw = "visible!" if vis_obs[0] == world.VISIBLE else "nothing"
         rows = grid_rows(state.object.probs)
         print(f"t={t:2d}  at node {pos:2d}  sees {saw:9s}  object belief: {rows[0]}")
         for row in rows[1:]:
             print(" " * 44 + row)
 
-        if pos == object_location and bundle.visibility[0] == world.VISIBLE:
+        if pos == object_location and vis_obs[0] == world.VISIBLE:
             print(f"\nfound the object in {t + 1} steps")
             break
 
@@ -60,7 +62,7 @@ def main():
         idx = planning.sample_policy_index(G, temperature=4.0, rng=rng)
         action = idx // 15
         state.last_action = action
-        env = world.env_step(env, [action], graph)
+        positions = world.env_step(positions, [action], graph)
     else:
         print("\nran out of time")
 

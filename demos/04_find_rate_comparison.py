@@ -15,8 +15,7 @@ import numpy as np
 
 from beliefshare import world
 from beliefshare.comms import CommMode
-from beliefshare.planning import PlannerContext
-from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, build_agent_models, run_trial
+from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, planner_context, run_trial
 
 
 def main():
@@ -37,7 +36,7 @@ def main():
         record_trace=False,
     )
     # one context serves every trial: they share graph, observations and preferences
-    planner = PlannerContext(build_agent_models(template)[0])
+    planner = planner_context(template)
 
     print(f"{len(combos)} sampled configurations, 20 steps, temperature 4.0\n")
     for mode in SWEEP_MODES:

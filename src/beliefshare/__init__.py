@@ -51,7 +51,6 @@ from .simulate import (
 )
 from .world import (
     WorldGraph,
-    WorldState,
     build_A1,
     build_A2,
     build_B1,

@@ -7,6 +7,7 @@ communication layer snapshots and what the final integration consumes.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ class AgentModel:
     graph: world.WorldGraph
     A_location: LikelihoodTensor
     A_visibility: LikelihoodTensor
-    B_location: TransitionTensor
     location_prior: CategoricalBelief
     object_prior: CategoricalBelief
     preferences: PreferenceModel = field(default_factory=lambda: PreferenceModel({}))
@@ -44,6 +44,16 @@ class AgentModel:
     @property
     def n_nodes(self) -> int:
         return self.graph.n_nodes
+
+    @cached_property
+    def B_location(self) -> TransitionTensor:
+        """Dense n x n x n movement dynamics, built on first read.
+
+        Only the reference path (``perceive``, ``rollout_predict``) reads
+        it; the trial loop and the planner apply the movement rule through
+        the adjacency matrix instead.
+        """
+        return world.build_B1(self.graph)
 
 
 def make_agent_model(
@@ -64,7 +74,6 @@ def make_agent_model(
         graph=graph,
         A_location=world.build_A1(n),
         A_visibility=world.build_A2(n),
-        B_location=world.build_B1(graph),
         location_prior=CategoricalBelief(world.LOCATION, loc_prior),
         object_prior=CategoricalBelief(world.OBJECT, np.asarray(object_prior, dtype=float)),
         preferences=preferences,

@@ -132,7 +132,7 @@ def expected_free_energy(model, beliefs, policy, prefs: PreferenceModel | None =
 
 
 class PlannerContext:
-    """Precomputed arrays for one graph, observation setting and preference setting.
+    """Precomputed arrays for one agent model's graph, observations and preferences.
 
     Scores the full lexicographic policy product without per-call tensor
     rebuilds; ``scores()`` agrees with ``expected_free_energy`` policy by
@@ -142,9 +142,7 @@ class PlannerContext:
     perceives with, so one context serves a whole trial.
     """
 
-    def __init__(self, model, prefs: PreferenceModel | None = None):
-        if prefs is None:
-            prefs = model.preferences
+    def __init__(self, model):
         A2 = model.A_visibility.table
         A1 = model.A_location.table
         self.n_actions = model.n_nodes
@@ -158,8 +156,8 @@ class PlannerContext:
         self.cum_A1 = np.cumsum(A1, axis=0)
         self.w_vis = (A2 * self.log_A2).sum(axis=0)
         self.w_loc = (A1 * self.log_A1).sum(axis=0)
-        self.c_vis = prefs.vector(world.VISIBILITY_MODALITY, A2.shape[0])
-        self.c_loc = prefs.vector(world.LOCATION_MODALITY, A1.shape[0])
+        self.c_vis = model.preferences.vector(world.VISIBILITY_MODALITY, A2.shape[0])
+        self.c_loc = model.preferences.vector(world.LOCATION_MODALITY, A1.shape[0])
         self.has_c_loc = bool(np.any(self.c_loc))
         self.observe_visibility = model.observe_visibility
         self.observe_location = model.observe_location

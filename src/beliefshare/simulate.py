@@ -15,6 +15,7 @@ agreement within 1e-12.
 """
 
 import hashlib
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,8 +26,8 @@ import numpy as np
 from . import planning, world
 from .comms import CommMode, SharedMessage
 from .errors import ConfigError, SweepTooLarge
-from .inference import MAX_SWEEPS, SWEEP_TOL, CategoricalBelief, LogMessage, floored_log, softmax
-from .model import AgentModel, default_preferences
+from .inference import MAX_SWEEPS, SWEEP_TOL, LogMessage, floored_log, softmax
+from .model import default_preferences, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
 
@@ -81,8 +82,10 @@ class ScenarioConfig:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature: must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature: must be finite and positive, got {self.temperature}")
+        if not math.isfinite(self.visible_bonus):
+            raise ConfigError(f"visible_bonus: must be finite, got {self.visible_bonus}")
         self.comm_mode = CommMode(self.comm_mode)
         if self.movement not in (FREE, FROZEN):
             raise ConfigError(f"movement: must be 'free' or 'frozen', got {self.movement!r}")
@@ -93,11 +96,15 @@ class ScenarioConfig:
                 raise ConfigError(f"agents[{i}].start_node: {spec.start_node} out of range")
             if spec.object_prior.shape != (n,):
                 raise ConfigError(f"agents[{i}].object_prior: length must be {n}")
+            if not np.all(np.isfinite(spec.object_prior)):
+                raise ConfigError(f"agents[{i}].object_prior: entries must be finite")
             if np.any(spec.object_prior < 0) or abs(spec.object_prior.sum() - 1.0) > 1e-9:
                 raise ConfigError(f"agents[{i}].object_prior: not a normalized distribution")
         if self.object_location is not None and not 0 <= self.object_location < n:
             raise ConfigError(f"object_location: {self.object_location} out of range")
         if self.scripted_actions is not None:
+            if len(self.scripted_actions) != self.n_agents:
+                raise ConfigError(f"scripted_actions: need one sequence per agent ({self.n_agents})")
             for i, seq in enumerate(self.scripted_actions):
                 if len(seq) < self.steps:
                     raise ConfigError(f"scripted_actions[{i}]: shorter than steps")
@@ -106,6 +113,8 @@ class ScenarioConfig:
         if self.scripted_visibility is not None:
             if not self.observe_visibility:
                 raise ConfigError("scripted_visibility: requires observe_visibility on")
+            if len(self.scripted_visibility) != self.n_agents:
+                raise ConfigError(f"scripted_visibility: need one sequence per agent ({self.n_agents})")
             for i, seq in enumerate(self.scripted_visibility):
                 if len(seq) < self.steps:
                     raise ConfigError(f"scripted_visibility[{i}]: shorter than steps")
@@ -179,35 +188,22 @@ class TrialResult:
     seed: int
 
 
-def build_agent_models(config: ScenarioConfig) -> list:
-    """AgentModel instances matching a config, sharing one tensor set."""
-    graph = config.graph
-    n = graph.n_nodes
-    A1, A2 = world.build_A1(n), world.build_A2(n)
-    B1 = world.build_B1(graph)
-    prefs = default_preferences(n, config.visible_bonus)
-    models = []
-    for spec in config.agents:
-        loc_prior = np.zeros(n)
-        loc_prior[spec.start_node] = 1.0
-        models.append(
-            AgentModel(
-                graph=graph,
-                A_location=A1,
-                A_visibility=A2,
-                B_location=B1,
-                location_prior=CategoricalBelief(world.LOCATION, loc_prior),
-                object_prior=CategoricalBelief(world.OBJECT, spec.object_prior),
-                preferences=prefs,
-                observe_location=config.observe_location,
-                observe_visibility=config.observe_visibility,
-            )
-        )
-    return models
+def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
+    """The planning and perception context of a config's graph, observations and preferences.
 
-
-def _planner_context(config: ScenarioConfig) -> planning.PlannerContext:
-    return planning.PlannerContext(build_agent_models(config)[0])
+    Every agent shares it: agents differ only in start node and object
+    prior, and the context reads neither.
+    """
+    spec = config.agents[0]
+    model = make_agent_model(
+        config.graph,
+        spec.start_node,
+        spec.object_prior,
+        default_preferences(config.graph.n_nodes, config.visible_bonus),
+        config.observe_location,
+        config.observe_visibility,
+    )
+    return planning.PlannerContext(model)
 
 
 def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = None) -> TrialResult:
@@ -224,7 +220,7 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
         )
         if plans:
             planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
-        planner = _planner_context(config)
+        planner = planner_context(config)
     n = config.graph.n_nodes
     n_agents = config.n_agents
     agents = np.arange(n_agents)
@@ -236,7 +232,7 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
     locs[agents, [s.start_node for s in config.agents]] = 1.0
     objs = np.array([s.object_prior for s in config.agents], dtype=float)
     actions = None
-    env = world.WorldState(tuple(s.start_node for s in config.agents), config.object_location)
+    positions = np.array([s.start_node for s in config.agents])
 
     trace = None
     if config.record_trace:
@@ -259,11 +255,13 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
         loc_obs = None
         vis_obs = None
         if need_env_draws:
-            bundle = world.env_observe(env, rng, planner.cum_A1, planner.A2)
+            drawn_loc, drawn_vis = world.env_observe(
+                positions, config.object_location, rng, planner.cum_A1, planner.A2
+            )
             if config.observe_location:
-                loc_obs = np.array(bundle.location)
+                loc_obs = drawn_loc
             if config.observe_visibility and config.scripted_visibility is None:
-                vis_obs = np.array(bundle.visibility)
+                vis_obs = drawn_vis
         if config.scripted_visibility is not None:
             vis_obs = np.array([seq[t] for seq in config.scripted_visibility], dtype=int)
 
@@ -330,8 +328,7 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
             ])
 
         if config.object_location is not None and vis_obs is not None:
-            on_object = np.array(env.agent_positions) == config.object_location
-            if np.any(on_object & (vis_obs == world.VISIBLE)):
+            if np.any((positions == config.object_location) & (vis_obs == world.VISIBLE)):
                 steps_to_find = t + 1
         if steps_to_find is not None or t == config.steps - 1:
             break
@@ -341,7 +338,7 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
             if config.scripted_actions is not None:
                 actions[i] = config.scripted_actions[i][t]
             elif config.movement == FROZEN:
-                actions[i] = env.agent_positions[i]
+                actions[i] = positions[i]
             elif config.action_policy == RANDOM:
                 actions[i] = rng.integers(n)
             else:
@@ -350,7 +347,7 @@ def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = 
                 actions[i] = idx // n ** (config.horizon - 1)
         if trace is not None:
             trace.actions[t] = actions
-        env = world.env_step(env, actions, config.graph)
+        positions = world.env_step(positions, actions, config.graph)
 
     if trace is not None:
         # the loop always ends at the break above, after t + 1 steps
@@ -512,7 +509,7 @@ _WORKER = {}
 
 
 def _sweep_worker_init(template: ScenarioConfig):
-    _WORKER["args"] = (template, _planner_context(template))
+    _WORKER["args"] = (template, planner_context(template))
 
 
 def _sweep_worker_run(tasks: list) -> list:
@@ -576,7 +573,7 @@ def run_sweep(
                 rows.extend(part)
         rows.sort(key=lambda r: r.trial_id)
     else:
-        rows = _run_tasks(template, _planner_context(template), tasks)
+        rows = _run_tasks(template, planner_context(template), tasks)
 
     aggregates = {}
     for mode in modes:

@@ -168,60 +168,36 @@ def build_A2(n_nodes: int) -> LikelihoodTensor:
     return LikelihoodTensor(VISIBILITY_MODALITY, (LOCATION, OBJECT), table)
 
 
-@dataclass
-class WorldState:
-    """True environment state: where everyone is, where the object is (None = absent)."""
-
-    agent_positions: tuple
-    object_location: int | None
-    t: int = 0
-
-    def __post_init__(self):
-        self.agent_positions = tuple(int(p) for p in self.agent_positions)
-
-
-@dataclass
-class ObservationBundle:
-    """Per-agent outcome draws for one timestep."""
-
-    location: tuple
-    visibility: tuple
-
-
-def env_step(state: WorldState, actions, graph: WorldGraph) -> WorldState:
-    """Apply one move per agent; the object never moves."""
-    new_positions = []
-    for pos, action in zip(state.agent_positions, actions):
-        if graph.adjacency[action, pos]:
-            new_positions.append(int(action))
-        else:
-            new_positions.append(pos)
-    return WorldState(tuple(new_positions), state.object_location, state.t + 1)
+def env_step(positions, actions, graph: WorldGraph) -> np.ndarray:
+    """Apply one move per agent: to the target if adjacent, else stay. The object never moves."""
+    return np.where(graph.adjacency[actions, positions], actions, positions)
 
 
 def env_observe(
-    state: WorldState,
+    positions,
+    object_location: int | None,
     rng: np.random.Generator,
     cum_A1: np.ndarray,
     A2: np.ndarray,
-) -> ObservationBundle:
-    """Draw one location and one visibility outcome per agent.
+) -> tuple:
+    """Draw one location and one visibility outcome per agent: (loc_obs, vis_obs).
 
     Ground truth uses the same tensors the agents model with: ``cum_A1`` is
     the location table cumulated over outcomes (axis 0), ``A2`` the
-    visibility table. An absent object behaves like "not at the agent's
-    node" everywhere, so visible draws are false positives only.
+    visibility table. Each agent draws its location, then its visibility,
+    in agent order. An absent object behaves like "not at the agent's node"
+    everywhere, so visible draws are false positives only.
     """
-    locs = []
-    vis = []
-    for pos in state.agent_positions:
-        draw = int(np.searchsorted(cum_A1[:, pos], rng.random(), side="right"))
-        locs.append(min(draw, cum_A1.shape[0] - 1))
-        obj = state.object_location
-        if obj is None:
-            # any non-matching column of the visibility table
-            p_visible = float(A2[VISIBLE, pos, pos - 1]) if A2.shape[1] > 1 else 0.0
-        else:
-            p_visible = float(A2[VISIBLE, pos, obj])
-        vis.append(VISIBLE if rng.random() < p_visible else NOT_VISIBLE)
-    return ObservationBundle(tuple(locs), tuple(vis))
+    positions = np.asarray(positions)
+    u = rng.random((positions.size, 2))
+    # cum_A1 columns are sorted, so counting entries <= u is searchsorted(side="right")
+    loc_obs = np.minimum((cum_A1[:, positions] <= u[:, 0]).sum(axis=0), cum_A1.shape[0] - 1)
+    if object_location is not None:
+        p_visible = A2[VISIBLE, positions, object_location]
+    elif A2.shape[1] > 1:
+        # any non-matching column of the visibility table
+        p_visible = A2[VISIBLE, positions, positions - 1]
+    else:
+        p_visible = np.zeros(positions.size)
+    vis_obs = np.where(u[:, 1] < p_visible, VISIBLE, NOT_VISIBLE)
+    return loc_obs, vis_obs

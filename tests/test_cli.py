@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beliefshare import cli
+from beliefshare import cli, world
 from beliefshare.cli import (
     EXIT_CAP,
     EXIT_IO,
@@ -25,6 +28,7 @@ from beliefshare.cli import (
 )
 from beliefshare.comms import CommMode
 from beliefshare.errors import ConfigError
+from beliefshare.simulate import AgentSpec, ScenarioConfig
 
 MINIMAL = """
 comm_mode = likelihood_sharing
@@ -91,6 +95,40 @@ class TestParseConfig:
         assert serialize_config(again, modes) == text
         assert again.comm_mode == config.comm_mode
         assert again.config_hash() == config.config_hash()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_round_trip_random_graph_and_agents(self, data):
+        n = data.draw(st.integers(1, 8))
+        # a random spanning tree keeps the graph connected; extra edges vary its shape
+        edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, n)]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        if pairs:
+            edges += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
+        graph = world.WorldGraph.from_edges(n, edges)
+        agents = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            weights = np.asarray(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+            agents.append(AgentSpec(data.draw(st.integers(0, n - 1)), weights / weights.sum()))
+        with tempfile.TemporaryDirectory() as tmp:
+            fixture = Path(tmp) / "graph.txt"
+            fixture.write_text(world.format_graph_text(graph))
+            config = ScenarioConfig(
+                graph=graph,
+                agents=agents,
+                object_location=data.draw(st.none() | st.integers(0, n - 1)),
+                comm_mode=data.draw(st.sampled_from(list(CommMode))),
+                temperature=data.draw(st.floats(0.01, 100.0)),
+                visible_bonus=data.draw(st.floats(-10.0, 10.0)),
+                graph_ref=str(fixture),
+            )
+            again, _ = parse_config_text(serialize_config(config))
+        assert again.config_hash() == config.config_hash()
+        assert np.array_equal(again.graph.adjacency, config.graph.adjacency)
+        assert len(again.agents) == len(agents)
+        for got, spec in zip(again.agents, agents):
+            assert got.start_node == spec.start_node
+            assert np.array_equal(got.object_prior, spec.object_prior)
 
     def test_custom_graph_file(self, tmp_path):
         graph_path = tmp_path / "triangle.txt"
@@ -273,6 +311,20 @@ class TestSweepInputs:
         "extra, key", [("object = 1\n", "object"), ("action_policy = random\n", "action_policy")]
     )
     def test_sweep_rejects_key(self, tmp_path, capsys, extra, key):
+        code, err, _ = self.sweep(tmp_path, capsys, extra)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and f"config error: {key}:" in err[0]
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ("agent = 1 | nan,0.5,0.5\n", "agents[1].object_prior"),
+            ("temperature = nan\n", "temperature"),
+            ("temperature = inf\n", "temperature"),
+            ("visible_bonus = nan\n", "visible_bonus"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, extra, key):
         code, err, _ = self.sweep(tmp_path, capsys, extra)
         assert code == EXIT_USAGE
         assert len(err) == 1 and f"config error: {key}:" in err[0]

@@ -1,5 +1,6 @@
 """The demo scripts run end to end against the public API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +21,12 @@ def test_demo_exits_cleanly(script):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_find_rate_demo_imports():
+    # a full run takes about a minute; loading it still fails on a deleted public name
+    path = ROOT / "demos" / "04_find_rate_comparison.py"
+    spec = importlib.util.spec_from_file_location("find_rate_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert callable(demo.main)

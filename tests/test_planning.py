@@ -183,14 +183,15 @@ class TestExpectedFreeEnergy:
         assert abs(g_stay - g_move) < 1e-10
 
     def test_preference_shift_leaves_selection_unchanged(self):
-        model, state = grid_model(start=4)
         base = default_preferences(15)
         shifted = PreferenceModel(
             {k: v + 3.7 for k, v in base.log_preferences.items()}
         )
+        model, state = grid_model(start=4, preferences=base)
+        shifted_model, _ = grid_model(start=4, preferences=shifted)
         loc, obj = state.location.probs, state.object.probs
-        G0 = PlannerContext(model, base).scores(loc, obj, 2)
-        G1 = PlannerContext(model, shifted).scores(loc, obj, 2)
+        G0 = PlannerContext(model).scores(loc, obj, 2)
+        G1 = PlannerContext(shifted_model).scores(loc, obj, 2)
         assert np.allclose(softmax(-G0), softmax(-G1), atol=1e-12)
 
 

@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 from beliefshare import planning, world
 from beliefshare.comms import CommMode, broadcast_round, integrated_object_belief
 from beliefshare.errors import ConfigError, SweepTooLarge
-from beliefshare.model import BeliefState, initial_state, perceive
+from beliefshare.model import (
+    BeliefState,
+    default_preferences,
+    initial_state,
+    make_agent_model,
+    perceive,
+)
 from beliefshare.simulate import (
     AgentSpec,
     ScenarioConfig,
-    build_agent_models,
     bumped_prior,
     echo_chamber_config,
     peaked_prior,
+    planner_context,
     run_sweep,
     run_trial,
     self_doubt_config,
@@ -47,15 +53,20 @@ def reference_trial(config):
 
     Must consume the generator in exactly the same order as run_trial.
     """
-    models = build_agent_models(config)
+    n = config.graph.n_nodes
+    prefs = default_preferences(n, config.visible_bonus)
+    models = [
+        make_agent_model(
+            config.graph, s.start_node, s.object_prior, prefs,
+            config.observe_location, config.observe_visibility,
+        )
+        for s in config.agents
+    ]
     states = [initial_state(m) for m in models]
     cum_A1 = np.cumsum(models[0].A_location.table, axis=0)
-    env = world.WorldState(
-        tuple(s.start_node for s in config.agents), config.object_location
-    )
+    positions = [s.start_node for s in config.agents]
     planner = planning.PlannerContext(models[0])
     rng = np.random.default_rng(config.seed)
-    n = config.graph.n_nodes
     n_agents = config.n_agents
 
     object_beliefs, location_beliefs, all_actions = [], [], []
@@ -67,11 +78,13 @@ def reference_trial(config):
         loc_obs = [None] * n_agents
         vis_obs = [None] * n_agents
         if need_draws:
-            bundle = world.env_observe(env, rng, cum_A1, models[0].A_visibility.table)
+            drawn_loc, drawn_vis = world.env_observe(
+                positions, config.object_location, rng, cum_A1, models[0].A_visibility.table
+            )
             if config.observe_location:
-                loc_obs = list(bundle.location)
+                loc_obs = list(drawn_loc)
             if config.observe_visibility and config.scripted_visibility is None:
-                vis_obs = list(bundle.visibility)
+                vis_obs = list(drawn_vis)
         if config.scripted_visibility is not None:
             vis_obs = [int(config.scripted_visibility[i][t]) for i in range(n_agents)]
 
@@ -87,10 +100,7 @@ def reference_trial(config):
 
         if config.object_location is not None:
             for i in range(n_agents):
-                if (
-                    env.agent_positions[i] == config.object_location
-                    and vis_obs[i] == world.VISIBLE
-                ):
+                if positions[i] == config.object_location and vis_obs[i] == world.VISIBLE:
                     found, steps_to_find = True, t + 1
                     break
         if found or t == config.steps - 1:
@@ -101,7 +111,7 @@ def reference_trial(config):
             if config.scripted_actions is not None:
                 actions.append(int(config.scripted_actions[i][t]))
             elif config.movement == "frozen":
-                actions.append(env.agent_positions[i])
+                actions.append(int(positions[i]))
             elif config.action_policy == "random":
                 actions.append(int(rng.integers(n)))
             else:
@@ -110,7 +120,7 @@ def reference_trial(config):
                 actions.append(idx // n ** (config.horizon - 1))
             states[i].last_action = actions[i]
         all_actions.append(actions)
-        env = world.env_step(env, actions, config.graph)
+        positions = world.env_step(positions, actions, config.graph)
 
     return np.array(object_beliefs), np.array(location_beliefs), all_actions, found, steps_to_find
 
@@ -217,6 +227,23 @@ class TestDeterminism:
         assert not np.array_equal(a.trace.observations, b.trace.observations)
 
 
+class TestPlannerContext:
+    def test_build_allocates_no_cubic_table(self):
+        # a 200-node grid: the dense movement table alone would be 64 MB
+        graph = world.WorldGraph.grid(10, 20)
+        config = ScenarioConfig(
+            graph=graph, agents=[AgentSpec(0, np.ones(200) / 200)],
+            object_location=None, comm_mode=CommMode.NONE,
+        )
+        tracemalloc.start()
+        try:
+            planner_context(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
 class TestConfigValidation:
     def test_error_names_field(self):
         uniform = np.ones(15) / 15
@@ -242,6 +269,12 @@ class TestConfigValidation:
                 (0,), None, CommMode.NONE, 1,
                 observe_visibility=False, scripted_visibility=[[1] * 8],
             )
+
+    @pytest.mark.parametrize("key", ["scripted_actions", "scripted_visibility"])
+    def test_scripted_lists_need_one_sequence_per_agent(self, key):
+        # one sequence for two agents: the second agent has nothing to follow
+        with pytest.raises(ConfigError, match=f"{key}: need one sequence per agent"):
+            sweep_style_config((0, 4), None, CommMode.NONE, 1, steps=3, **{key: [[0, 0, 0]]})
 
 
 class TestFindCriterion:

@@ -6,9 +6,9 @@ from scipy.stats import chisquare
 
 from beliefshare.errors import ConfigError
 from beliefshare.world import (
+    NOT_VISIBLE,
     VISIBLE,
     WorldGraph,
-    WorldState,
     build_A1,
     build_A2,
     build_B1,
@@ -106,20 +106,14 @@ class TestBuilders:
 
 class TestEnvStep:
     def test_adjacent_move(self, path3):
-        state = WorldState((0,), 2)
-        after = env_step(state, [1], path3)
-        assert after.agent_positions == (1,)
-        assert after.t == 1
+        assert env_step([0], [1], path3).tolist() == [1]
 
     def test_stay(self, path3):
-        state = WorldState((0,), 2)
-        assert env_step(state, [0], path3).agent_positions == (0,)
-        assert env_step(state, [2], path3).agent_positions == (0,)
+        assert env_step([0], [0], path3).tolist() == [0]
+        assert env_step([0], [2], path3).tolist() == [0]
 
-    def test_object_static(self, path3):
-        state = WorldState((0, 2), 1)
-        for actions in ([0, 0], [1, 1], [2, 0]):
-            assert env_step(state, actions, path3).object_location == 1
+    def test_agents_move_independently(self, path3):
+        assert env_step([0, 2], [1, 0], path3).tolist() == [1, 2]
 
     def test_reversibility(self):
         g = default_graph()
@@ -127,48 +121,56 @@ class TestEnvStep:
         for _ in range(50):
             pos = int(rng.integers(15))
             target = int(rng.integers(15))
-            state = WorldState((pos,), None)
-            after = env_step(state, [target], g)
+            after = env_step([pos], [target], g)
             back = env_step(after, [pos], g)
-            assert back.agent_positions == (pos,)
+            assert back.tolist() == [pos]
 
 
 class TestEnvObserve:
     def test_seed_determinism(self):
-        state = WorldState((3, 7), 3)
-        a = env_observe(state, np.random.default_rng(99), *GRID_TENSORS)
-        b = env_observe(state, np.random.default_rng(99), *GRID_TENSORS)
-        assert a == b
+        a = env_observe([3, 7], 3, np.random.default_rng(99), *GRID_TENSORS)
+        b = env_observe([3, 7], 3, np.random.default_rng(99), *GRID_TENSORS)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_draws_location_then_visibility_per_agent(self):
+        # one uniform per outcome, consumed agent by agent: location, then visibility
+        cum_A1, A2 = GRID_TENSORS
+        positions, obj = [3, 7, 12], 7
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for pos in positions:
+                loc = int(np.searchsorted(cum_A1[:, pos], rng.random(), side="right"))
+                vis = VISIBLE if rng.random() < A2[VISIBLE, pos, obj] else NOT_VISIBLE
+                expected.append((min(loc, 14), vis))
+            loc_obs, vis_obs = env_observe(positions, obj, np.random.default_rng(seed), *GRID_TENSORS)
+            assert list(zip(loc_obs.tolist(), vis_obs.tolist())) == expected
 
     def test_visibility_frequencies(self):
-        state = WorldState((3, 7), 3)
         rng = np.random.default_rng(1234)
-        draws = [env_observe(state, rng, *GRID_TENSORS) for _ in range(10_000)]
-        co_located = np.mean([d.visibility[0] == VISIBLE for d in draws])
-        apart = np.mean([d.visibility[1] == VISIBLE for d in draws])
+        draws = np.array([env_observe([3, 7], 3, rng, *GRID_TENSORS)[1] for _ in range(10_000)])
+        co_located = np.mean(draws[:, 0] == VISIBLE)
+        apart = np.mean(draws[:, 1] == VISIBLE)
         assert co_located == pytest.approx(0.8, abs=0.02)
         assert apart == pytest.approx(0.2, abs=0.02)
 
     def test_location_frequencies_chi_square(self):
-        state = WorldState((5,), None)
         rng = np.random.default_rng(4321)
         counts = np.zeros(15)
         n = 10_000
         for _ in range(n):
-            counts[env_observe(state, rng, *GRID_TENSORS).location[0]] += 1
+            counts[env_observe([5], None, rng, *GRID_TENSORS)[0][0]] += 1
         expected = build_A1(15).table[:, 5] * n
         assert chisquare(counts, expected).pvalue > 1e-3
 
     def test_absent_object_false_positive_rate(self):
-        state = WorldState((5,), None)
         rng = np.random.default_rng(777)
         freq = np.mean(
-            [env_observe(state, rng, *GRID_TENSORS).visibility[0] == VISIBLE for _ in range(10_000)]
+            [env_observe([5], None, rng, *GRID_TENSORS)[1][0] == VISIBLE for _ in range(10_000)]
         )
         assert freq == pytest.approx(0.2, abs=0.02)
 
     def test_single_node_world(self):
-        state = WorldState((0,), 0)
         rng = np.random.default_rng(5)
-        bundle = env_observe(state, rng, *observation_tensors(1))
-        assert bundle.location == (0,)
+        loc_obs, _ = env_observe([0], 0, rng, *observation_tensors(1))
+        assert loc_obs.tolist() == [0]
