@@ -41,7 +41,7 @@ def main():
 
     for t in range(20):
         loc_obs, vis_obs = world.env_observe(
-            positions, object_location, rng, planner.cum_A1, planner.A2
+            positions, object_location, rng.random((1, 2)), planner.cum_A1, planner.A2
         )
         update = perceive(model, state, loc_obs[0], vis_obs[0])
         state.location = update.location
@@ -59,7 +59,7 @@ def main():
             break
 
         G = planner.scores(state.location.probs, state.object.probs, horizon=2)
-        idx = planning.sample_policy_index(G, temperature=4.0, rng=rng)
+        idx = planning.sample_policy_index(G, temperature=4.0, u=rng.random())
         action = idx // 15
         state.last_action = action
         positions = world.env_step(positions, [action], graph)

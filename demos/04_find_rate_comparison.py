@@ -1,7 +1,7 @@
 """Reduced find-rate comparison across the communication modes.
 
 Runs a random subsample of (start, start, object) combinations instead of
-the full 3,375-combination sweep so it finishes in about a minute; use the
+the full 3,375-combination sweep so it finishes in a few seconds; use the
 CLI (`beliefshare sweep --config configs/find_rate_sweep.cfg ...`) for the
 full table. The qualitative picture is stable: likelihood sharing leads,
 no-comm trails it, the random walker loses, and posterior sharing falls
@@ -9,13 +9,11 @@ behind because one shared false "visible" draw can lock both agents onto a
 phantom node (its belief doubles every round, outrunning refutation).
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from beliefshare import world
 from beliefshare.comms import CommMode
-from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, planner_context, run_trial
+from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, run_trials
 
 
 def main():
@@ -33,30 +31,18 @@ def main():
         comm_mode=CommMode.NONE,
         steps=20,
         temperature=4.0,
-        record_trace=False,
     )
-    # one context serves every trial: they share graph, observations and preferences
-    planner = planner_context(template)
+    starts = [s for s, _ in combos]
+    objects = [obj for _, obj in combos]
+    seeds = [9000 + k for k in range(len(combos))]
 
     print(f"{len(combos)} sampled configurations, 20 steps, temperature 4.0\n")
     for mode in SWEEP_MODES:
-        found = 0
-        steps = []
-        for k, (starts, obj) in enumerate(combos):
-            config = replace(
-                template,
-                agents=[AgentSpec(s, uniform) for s in starts],
-                object_location=obj,
-                comm_mode=CommMode.NONE if mode == "random" else CommMode(mode),
-                action_policy="random" if mode == "random" else "plan",
-                seed=9000 + k,
-            )
-            result = run_trial(config, planner)
-            found += result.found
-            if result.found:
-                steps.append(result.steps_to_find)
-        rate = found / len(combos)
-        mean_steps = np.mean(steps) if steps else float("nan")
+        # the step of each find, 0 where the object was not found
+        found_at = run_trials(template, mode, starts, objects, seeds)
+        found = found_at > 0
+        rate = found.mean()
+        mean_steps = found_at[found].mean() if found.any() else float("nan")
         print(f"{mode:20s} find rate {rate:5.3f}   mean steps when found {mean_steps:4.1f}")
 
 

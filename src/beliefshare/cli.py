@@ -12,15 +12,15 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import permutations
 
 import numpy as np
 
 from . import simulate, world
 from .comms import CommMode
-from .errors import BeliefShareError, ConfigError, PolicySpaceTooLarge, SweepTooLarge
+from .errors import BeliefShareError, ConfigError, GraphTooLarge, PolicySpaceTooLarge, SweepTooLarge
 from .simulate import AgentSpec, ScenarioConfig, SweepResult
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAP = 3
 
-# Documented config keys; unknown keys warn but do not fail.
+# Documented config keys; any other key is rejected.
 CONFIG_KEYS = {
     "graph": "graph fixture path, or 'default' for the shipped 15-node grid",
     "comm_mode": "none | posterior_sharing | likelihood_sharing (sweeps take the channel from sweep_modes)",
@@ -60,16 +60,22 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
     spec = spec.strip()
     if spec == "uniform":
         return np.ones(n_nodes) / n_nodes
-    if spec.startswith("bump:"):
-        parts = spec[5:].split(":")
-        nodes = [int(tok) for tok in parts[0].replace(",", " ").split()]
-        ratio = float(parts[1]) if len(parts) > 1 else 2.0
-        return simulate.bumped_prior(n_nodes, nodes, ratio)
-    if spec.startswith("peak:"):
-        parts = spec[5:].split(":")
-        node = int(parts[0])
-        mass = float(parts[1]) if len(parts) > 1 else 0.95
-        return simulate.peaked_prior(n_nodes, node, mass)
+    kind, sep, args = spec.partition(":")
+    if sep and kind in ("bump", "peak"):
+        head, _, weight = args.partition(":")
+        try:
+            nodes = [int(tok) for tok in head.replace(",", " ").split()]
+            weight = float(weight) if weight else None
+        except ValueError as exc:
+            raise ConfigError(f"{field}: cannot parse prior spec {spec!r}") from exc
+        for node in nodes:
+            if not 0 <= node < n_nodes:
+                raise ConfigError(f"{field}: node {node} out of range for {n_nodes} nodes")
+        if kind == "bump":
+            return simulate.bumped_prior(n_nodes, nodes, 2.0 if weight is None else weight)
+        if len(nodes) != 1 or n_nodes < 2:
+            raise ConfigError(f"{field}: 'peak' takes one node of a graph of two or more")
+        return simulate.peaked_prior(n_nodes, nodes[0], 0.95 if weight is None else weight)
     try:
         vec = np.array([float(tok) for tok in spec.replace(",", " ").split()])
     except ValueError as exc:
@@ -104,7 +110,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> tuple:
         elif key in CONFIG_KEYS:
             values[key] = value
         else:
-            warnings.warn(f"unknown config key {key!r} ignored", stacklevel=2)
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
 
     graph_ref = values.get("graph", "default")
     if graph_ref == "default":
@@ -292,12 +298,11 @@ def write_trace_files(trace, out_dir: str) -> list:
     fh, writer = _open_csv(messages_path)
     with fh:
         writer.writerow(["t", "sender", "receiver", "mode", "node", "logit"])
-        for t, round_messages in enumerate(trace.messages):
-            for receiver, msg in round_messages:
-                for node, logit in enumerate(msg.payload.logits):
-                    writer.writerow(
-                        [t, msg.sender, receiver, msg.mode_tag.value, node, _fmt(logit)]
-                    )
+        sent = trace.comm_mode != CommMode.NONE
+        for t in range(trace.n_steps if sent else 0):
+            for receiver, sender in permutations(range(trace.n_agents), 2):
+                for node, logit in enumerate(trace.messages[t, sender]):
+                    writer.writerow([t, sender, receiver, trace.comm_mode.value, node, _fmt(logit)])
     paths.append(messages_path)
     return paths
 
@@ -394,24 +399,20 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
-    except OSError as exc:
-        print(f"cannot read graph fixture: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if seed is not None:
-        config = replace(config, seed=seed)
-    try:
+        try:
+            config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
+        except OSError as exc:
+            print(f"cannot read graph fixture: {exc}", file=sys.stderr)
+            return EXIT_IO
+        if seed is not None:
+            config = replace(config, seed=seed)
         if jobs is None:
             jobs = _jobs_from_env()
         result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SweepTooLarge, PolicySpaceTooLarge) as exc:
+    except (GraphTooLarge, SweepTooLarge, PolicySpaceTooLarge) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
 

@@ -39,3 +39,7 @@ class ConfigError(BeliefShareError):
 
 class SweepTooLarge(BeliefShareError):
     """A sweep would exceed the configured trial-count cap."""
+
+
+class GraphTooLarge(BeliefShareError):
+    """A graph fixture describes more nodes than the node cap."""

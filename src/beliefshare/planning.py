@@ -17,6 +17,9 @@ from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
 
+# Bytes of one (beliefs, policies, nodes) float array in a stacked scores call.
+SCORE_BYTES = 1 << 20
+
 
 @dataclass
 class PreferenceModel:
@@ -174,45 +177,59 @@ class PlannerContext:
         out[..., self.nodes, self.nodes] = locs @ self.adj.T
         return out
 
-    def _step_scores(self, locs: np.ndarray, obj: np.ndarray) -> np.ndarray:
-        """-(info gain + utility) of one predicted step for a batch of location beliefs."""
-        # expected-log terms of both modalities collapse into one vector
-        u = np.zeros(locs.shape[1])
-        score = np.zeros(locs.shape[0])
+    def _step_scores(self, locs: np.ndarray, objs: np.ndarray) -> np.ndarray:
+        """-(info gain + utility) of one predicted step: (R, K, n) location beliefs, (R, n, 1) objects."""
+        # expected-log terms of both modalities collapse into one vector per belief
+        u = np.zeros(objs.shape[:2])
+        score = np.zeros(locs.shape[:2])
         if self.observe_visibility:
-            u += self.w_vis @ obj
-            q_v = locs @ (self.A2 @ obj).T
-            score += (q_v * floored_log(q_v)).sum(axis=1)
+            u += (self.w_vis @ objs)[..., 0]
+            q_v = locs @ (self.A2 @ objs[:, None])[..., 0].swapaxes(1, 2)
+            score += (q_v * floored_log(q_v)).sum(axis=-1)
             score -= q_v @ self.c_vis
         if self.observe_location:
             u += self.w_loc
             q_l = locs @ self.A1T
-            score += (q_l * floored_log(q_l)).sum(axis=1)
+            score += (q_l * floored_log(q_l)).sum(axis=-1)
             if self.has_c_loc:
                 score -= q_l @ self.c_loc
-        score -= locs @ u
+        score -= (locs @ u[..., None])[..., 0]
         return score
 
     def scores(self, loc: np.ndarray, obj: np.ndarray, horizon: int) -> np.ndarray:
         """G over all n_actions**horizon policies in lexicographic order.
 
-        The object never moves, so every step scores against the same ``obj``.
+        One belief pair gives G of shape (P,); stacks of R location and
+        object beliefs give (R, P). Each row goes through the same matrix
+        products a single belief does, so a row does not depend on the
+        stack around it. The object never moves, so every step scores
+        against the same object belief.
         """
-        locs = loc[None]
-        G = np.zeros(1)
+        locs = np.atleast_2d(loc)[:, None]
+        objs = np.atleast_2d(obj)[:, :, None]
+        G = np.zeros(locs.shape[:2])
         for _ in range(horizon):
             # grow the batch: every current trajectory extended by every action
-            locs = self.moves(locs).reshape(-1, locs.shape[1])
-            G = np.repeat(G, self.n_actions) + self._step_scores(locs, obj)
-        return G
+            locs = self.moves(locs).reshape(len(locs), -1, locs.shape[-1])
+            G = np.repeat(G, self.n_actions, axis=1) + self._step_scores(locs, objs)
+        return G if np.ndim(loc) > 1 else G[0]
 
 
-def sample_policy_index(G: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Sample a policy index from softmax(-temperature * G) by inverse CDF."""
+def rows_per_call(n_nodes: int, horizon: int) -> int:
+    """Beliefs per stacked ``scores`` call: each (beliefs, P, n) array within SCORE_BYTES; at least 1."""
+    return max(1, SCORE_BYTES // (8 * n_nodes ** (horizon + 1)))
+
+
+def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:
+    """Policy index per row of G from softmax(-temperature * G), by inverse CDF at the uniforms u.
+
+    One score vector and one uniform give one index.
+    """
     if G.size == 0:
         raise EmptyInput("no policy scores to sample from")
     if temperature <= 0:
         raise ShapeError("temperature must be positive")
-    cum = np.cumsum(softmax(-temperature * G))
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, G.size - 1)
+    cum = np.cumsum(softmax(-temperature * G), axis=-1)
+    # the CDF is sorted, so counting entries <= u is searchsorted(side="right")
+    idx = (cum <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(idx, G.shape[-1] - 1)

@@ -1,17 +1,19 @@
-"""Multi-agent trial loop, the canonical scenarios, and the find-rate sweep.
+"""Multi-agent trials, the canonical scenarios, and the find-rate sweep.
 
-One trial steps through observe -> communicate -> update -> plan -> act,
-halting early once any agent standing on the object's node draws a visible
-outcome. Everything is driven by one seeded generator, so a (config, seed)
-pair pins the whole trajectory down to the emitted CSV bytes.
+A trial steps through observe -> perceive -> broadcast and integrate ->
+plan -> act, halting early once any agent standing on the object's node
+draws a visible outcome. Each trial draws from its own seeded generator,
+so a (config, seed) pair pins the whole trajectory down to the emitted
+CSV bytes.
 
-The trial loop holds every agent's beliefs as rows of (agents, nodes)
-arrays and perceives, broadcasts and integrates for all agents at once;
-only action choice runs agent by agent, in a fixed order, because each
-choice draws from the generator. The loop computes what the contract
-operations (model.perceive, comms.broadcast_round, PlannerContext.scores)
-compute one agent at a time, and the test suite holds the two paths to
-agreement within 1e-12.
+One kernel, ``_step_trials``, holds this step. It steps a batch of trials
+of one channel together: beliefs are (trials, agents, nodes) arrays, every
+stage runs on the whole batch, and a trial that finds the object leaves
+it. Sweeps hand it chunks of trials through ``run_trials``; ``run_trial``
+is its batch of one and records the trace the scenario exports write.
+The kernel computes what the contract operations (model.perceive,
+comms.broadcast_round, PlannerContext.scores) compute one agent at a
+time, and the test suite holds the two paths to agreement within 1e-12.
 """
 
 import hashlib
@@ -24,9 +26,9 @@ from itertools import product
 import numpy as np
 
 from . import planning, world
-from .comms import CommMode, SharedMessage
+from .comms import CommMode
 from .errors import ConfigError, SweepTooLarge
-from .inference import MAX_SWEEPS, SWEEP_TOL, LogMessage, floored_log, softmax
+from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import default_preferences, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
@@ -72,7 +74,6 @@ class ScenarioConfig:
     scripted_visibility: list | None = None
     visible_bonus: float = 2.0
     graph_ref: str = "default"
-    record_trace: bool = True
 
     def __post_init__(self):
         n = self.graph.n_nodes
@@ -156,10 +157,13 @@ class ScenarioConfig:
 class BeliefTrace:
     """Per-timestep record of beliefs, actions, observations and payloads.
 
-    ``object_prior_msgs`` and ``object_likelihood_sums`` hold each agent's
-    own message decomposition for the step, which is what the sharing
-    identity checks compare payloads against. ``messages[t]`` is a list of
-    (receiver, SharedMessage) pairs.
+    Arrays run (steps, agents, ...). ``object_prior_msgs`` and
+    ``object_likelihood_sums`` hold each agent's own message decomposition
+    for the step, which is what the sharing identity checks compare
+    payloads against. ``messages[t, j]`` is the payload agent j sent every
+    other agent at step t under ``comm_mode``; under "none" nothing is sent
+    and it stays zero. Actions and observations read -1 where none was
+    taken or drawn.
     """
 
     object_beliefs: np.ndarray
@@ -168,7 +172,25 @@ class BeliefTrace:
     observations: np.ndarray
     object_prior_msgs: np.ndarray
     object_likelihood_sums: np.ndarray
-    messages: list
+    messages: np.ndarray
+    comm_mode: CommMode
+
+    @classmethod
+    def empty(cls, steps: int, trials: int, agents: int, n: int, comm_mode: CommMode) -> "BeliefTrace":
+        """Zeroed arrays with a trial axis after the step axis, for a batch of trials."""
+        beliefs = (steps, trials, agents, n)
+        return cls(
+            np.zeros(beliefs), np.zeros(beliefs), np.full(beliefs[:3], -1, dtype=int),
+            np.full((*beliefs[:3], 2), -1, dtype=int), np.zeros(beliefs), np.zeros(beliefs),
+            np.zeros(beliefs), comm_mode,
+        )
+
+    def trial(self, index: int, n_steps: int) -> "BeliefTrace":
+        """One trial of a batch trace, cut to the steps it ran."""
+        return replace(self, **{
+            name: value[:n_steps, index]
+            for name, value in vars(self).items() if isinstance(value, np.ndarray)
+        })
 
     @property
     def n_steps(self) -> int:
@@ -183,7 +205,7 @@ class BeliefTrace:
 class TrialResult:
     found: bool
     steps_to_find: int | None
-    trace: BeliefTrace | None
+    trace: BeliefTrace
     config_hash: str
     seed: int
 
@@ -192,8 +214,11 @@ def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
     """The planning and perception context of a config's graph, observations and preferences.
 
     Every agent shares it: agents differ only in start node and object
-    prior, and the context reads neither.
+    prior, and the context reads neither. A config whose trials plan must
+    keep its policy count within the cap.
     """
+    if config.action_policy == PLANNED and config.movement == FREE and config.scripted_actions is None:
+        planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
     spec = config.agents[0]
     model = make_agent_model(
         config.graph,
@@ -206,160 +231,192 @@ def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
     return planning.PlannerContext(model)
 
 
-def run_trial(config: ScenarioConfig, planner: planning.PlannerContext | None = None) -> TrialResult:
-    """Execute one trial; fully deterministic given the config's seed.
+def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
+    """Own-evidence update of every agent row (mirrors model.perceive).
 
-    ``planner`` is the context for the config's graph, observation and
-    preference settings; trials that share those settings can share one.
+    Returns location and object beliefs, object prior messages, and the
+    visibility messages to the object factor (None with no visibility
+    outcome). Each agent sweeps until its own beliefs settle, as alone.
     """
-    if planner is None:
-        plans = (
-            config.action_policy == PLANNED
-            and config.movement == FREE
-            and config.scripted_actions is None
-        )
-        if plans:
-            planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
-        planner = planner_context(config)
+    prior_obj = floored_log(objs)
+    loc_ev = floored_log(locs)
+    if loc_obs is not None:
+        loc_ev = loc_ev + planner.log_A1[loc_obs]
+    locs = softmax(loc_ev)
+    objs = softmax(prior_obj)
+    if vis_obs is None:
+        return locs, objs, prior_obj, None
+    lw = planner.log_A2[vis_obs]
+    vis_msgs = np.zeros(objs.shape)
+    active = np.ones(objs.shape[:-1], dtype=bool)
+    for _ in range(MAX_SWEEPS):
+        new_loc = softmax(loc_ev + (lw @ objs[..., None])[..., 0])
+        new_msg = (new_loc[..., None, :] @ lw)[..., 0, :]
+        new_obj = softmax(prior_obj + new_msg)
+        delta = np.maximum(np.abs(new_loc - locs).max(axis=-1), np.abs(new_obj - objs).max(axis=-1))
+        keep = active[..., None]
+        locs = np.where(keep, new_loc, locs)
+        objs = np.where(keep, new_obj, objs)
+        vis_msgs = np.where(keep, new_msg, vis_msgs)
+        active &= delta >= SWEEP_TOL
+        if not active.any():
+            break
+    return locs, objs, prior_obj, vis_msgs
+
+
+def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
+    """Broadcast from the own-evidence snapshot and integrate: (object beliefs, payloads or None)."""
+    if mode == CommMode.NONE:
+        return own_objs, None
+    if mode == CommMode.POSTERIOR_SHARING:
+        payloads = floored_log(own_objs)
+    else:
+        payloads = np.zeros(own_objs.shape) if vis_msgs is None else vis_msgs
+    payloads = payloads - payloads.max(axis=-1, keepdims=True)
+    total = prior_obj.copy() if vis_msgs is None else prior_obj + vis_msgs
+    agents = np.arange(payloads.shape[1])
+    # every receiver adds the other agents' payloads in ascending sender order
+    for sender in agents:
+        total[:, agents != sender] += payloads[:, sender, None]
+    return softmax(total), payloads
+
+
+def _choose_actions(config, planner, t, positions, locs, objs, rngs) -> np.ndarray:
+    """Every agent's move target: scripted, frozen, uniform at random, or sampled from its scores."""
     n = config.graph.n_nodes
-    n_agents = config.n_agents
-    agents = np.arange(n_agents)
-    mode = config.comm_mode
-    rng = np.random.default_rng(config.seed)
+    if config.scripted_actions is not None:
+        return np.broadcast_to([seq[t] for seq in config.scripted_actions], positions.shape)
+    if config.movement == FROZEN:
+        return positions
+    if config.action_policy == RANDOM:
+        return np.array([[rng.integers(n) for _ in row] for rng, row in zip(rngs, positions)])
+    locs, objs = locs.reshape(-1, n), objs.reshape(-1, n)
+    rows = planning.rows_per_call(n, config.horizon)
+    G = np.concatenate([
+        planner.scores(locs[i : i + rows], objs[i : i + rows], config.horizon)
+        for i in range(0, len(locs), rows)
+    ])
+    u = np.concatenate([rng.random(positions.shape[1]) for rng in rngs])
+    policies = planning.sample_policy_index(G, config.temperature, u)
+    return (policies // n ** (config.horizon - 1)).reshape(positions.shape)
 
-    # row i of every (agents, nodes) array belongs to agent i
-    locs = np.zeros((n_agents, n))
-    locs[agents, [s.start_node for s in config.agents]] = 1.0
-    objs = np.array([s.object_prior for s in config.agents], dtype=float)
-    actions = None
-    positions = np.array([s.start_node for s in config.agents])
 
-    trace = None
-    if config.record_trace:
-        trace = BeliefTrace(
-            object_beliefs=np.zeros((config.steps, n_agents, n)),
-            location_beliefs=np.zeros((config.steps, n_agents, n)),
-            actions=np.full((config.steps, n_agents), -1, dtype=int),
-            observations=np.full((config.steps, n_agents, 2), -1, dtype=int),
-            object_prior_msgs=np.zeros((config.steps, n_agents, n)),
-            object_likelihood_sums=np.zeros((config.steps, n_agents, n)),
-            messages=[],
-        )
+def _step_trials(config, planner, starts, objects, seeds, trace=None):
+    """The trial step, for B trials of one config at once.
 
-    steps_to_find = None
-    need_env_draws = config.observe_location or (
+    ``starts`` is (B, agents) start nodes, ``objects`` B object nodes or None
+    (absent), ``seeds`` B generator seeds; the rest comes from ``config``.
+    Every stage runs on (B, agents, nodes) belief arrays, and a trial that
+    finds the object leaves the batch. Each trial draws from its own
+    generator as alone: per step a location and a visibility draw per
+    agent, then one action draw per agent. ``trace`` is a BeliefTrace.empty
+    of the batch to fill, or None. Returns each trial's step of finding
+    the object, 0 where it did not.
+    """
+    n = config.graph.n_nodes
+    positions = np.array(starts)
+    n_trials, n_agents = positions.shape
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    live = np.arange(n_trials)  # batch index of each running trial
+    obj_nodes = None if objects is None else np.asarray(objects)[:, None]
+    locs = np.zeros((n_trials, n_agents, n))
+    np.put_along_axis(locs, positions[..., None], 1.0, axis=2)
+    objs = np.tile([s.object_prior for s in config.agents], (n_trials, 1, 1))
+    found_at = np.zeros(n_trials, dtype=int)
+    need_draws = config.observe_location or (
         config.observe_visibility and config.scripted_visibility is None
     )
 
     for t in range(config.steps):
-        loc_obs = None
-        vis_obs = None
-        if need_env_draws:
-            drawn_loc, drawn_vis = world.env_observe(
-                positions, config.object_location, rng, planner.cum_A1, planner.A2
-            )
+        loc_obs = vis_obs = None
+        if need_draws:
+            u = np.array([rng.random((n_agents, 2)) for rng in rngs])
+            drawn = world.env_observe(positions, obj_nodes, u, planner.cum_A1, planner.A2)
             if config.observe_location:
-                loc_obs = drawn_loc
+                loc_obs = drawn[0]
             if config.observe_visibility and config.scripted_visibility is None:
-                vis_obs = drawn_vis
+                vis_obs = drawn[1]
         if config.scripted_visibility is not None:
-            vis_obs = np.array([seq[t] for seq in config.scripted_visibility], dtype=int)
+            vis_obs = np.broadcast_to([seq[t] for seq in config.scripted_visibility], positions.shape)
 
-        # own-evidence update (mirrors model.perceive); the object never moves
-        if actions is not None:
-            # one-row stacks keep each agent's move a matrix-vector product
-            locs = planner.moves(locs[:, None])[agents, 0, actions]
-        prior_loc = floored_log(locs)
-        prior_obj = floored_log(objs)
-        loc_ev = prior_loc if loc_obs is None else prior_loc + planner.log_A1[loc_obs]
-        locs = softmax(loc_ev)
-        own_objs = softmax(prior_obj)
-        vis_msgs = None
-        if vis_obs is not None:
-            lw = planner.log_A2[vis_obs]
-            vis_msgs = np.zeros((n_agents, n))
-            # each agent sweeps until its own beliefs settle, as it would alone
-            active = np.ones(n_agents, dtype=bool)
-            for _ in range(MAX_SWEEPS):
-                new_loc = softmax(loc_ev + (lw @ own_objs[:, :, None])[:, :, 0])
-                new_msg = (new_loc[:, None] @ lw)[:, 0]
-                new_obj = softmax(prior_obj + new_msg)
-                delta = np.maximum(
-                    np.abs(new_loc - locs).max(axis=1), np.abs(new_obj - own_objs).max(axis=1)
-                )
-                keep = active[:, None]
-                locs = np.where(keep, new_loc, locs)
-                own_objs = np.where(keep, new_obj, own_objs)
-                vis_msgs = np.where(keep, new_msg, vis_msgs)
-                active &= delta >= SWEEP_TOL
-                if not active.any():
-                    break
-
-        # synchronous broadcast from the own-evidence snapshot
-        if mode == CommMode.NONE:
-            payloads = None
-            objs = own_objs
-        else:
-            if mode == CommMode.POSTERIOR_SHARING:
-                payloads = floored_log(own_objs)
-            else:
-                payloads = np.zeros((n_agents, n)) if vis_msgs is None else vis_msgs
-            payloads = payloads - payloads.max(axis=1, keepdims=True)
-            total = prior_obj.copy() if vis_msgs is None else prior_obj + vis_msgs
-            # every receiver adds the other agents' payloads in ascending sender order
-            for sender in agents:
-                total[agents != sender] += payloads[sender]
-            objs = softmax(total)
+        locs, own_objs, prior_obj, vis_msgs = _perceive(planner, locs, objs, loc_obs, vis_obs)
+        objs, payloads = _share(config.comm_mode, prior_obj, own_objs, vis_msgs)
 
         if trace is not None:
-            trace.object_beliefs[t] = objs
-            trace.location_beliefs[t] = locs
-            trace.observations[t, :, 0] = -1 if loc_obs is None else loc_obs
-            trace.observations[t, :, 1] = -1 if vis_obs is None else vis_obs
-            trace.object_prior_msgs[t] = prior_obj
+            trace.object_beliefs[t, live] = objs
+            trace.location_beliefs[t, live] = locs
+            trace.object_prior_msgs[t, live] = prior_obj
+            for obs, column in ((loc_obs, 0), (vis_obs, 1)):
+                if obs is not None:
+                    trace.observations[t, live, :, column] = obs
             if vis_msgs is not None:
-                trace.object_likelihood_sums[t] = vis_msgs
-            pairs = [] if payloads is None else [
-                (i, j) for i in range(n_agents) for j in range(n_agents) if j != i
-            ]
-            trace.messages.append([
-                (i, SharedMessage(j, world.OBJECT, LogMessage(world.OBJECT, payloads[j].copy()), mode))
-                for i, j in pairs
-            ])
+                trace.object_likelihood_sums[t, live] = vis_msgs
+            if payloads is not None:
+                trace.messages[t, live] = payloads
 
-        if config.object_location is not None and vis_obs is not None:
-            if np.any((positions == config.object_location) & (vis_obs == world.VISIBLE)):
-                steps_to_find = t + 1
-        if steps_to_find is not None or t == config.steps - 1:
+        if obj_nodes is not None and vis_obs is not None:
+            hit = ((positions == obj_nodes) & (vis_obs == world.VISIBLE)).any(axis=1)
+            found_at[live[hit]] = t + 1
+            if hit.any():
+                live, positions, locs, objs, obj_nodes = (
+                    a[~hit] for a in (live, positions, locs, objs, obj_nodes)
+                )
+                rngs = [rng for rng, done in zip(rngs, hit) if not done]
+        if t == config.steps - 1 or not live.size:
             break
 
-        actions = np.empty(n_agents, dtype=int)
-        for i in agents:
-            if config.scripted_actions is not None:
-                actions[i] = config.scripted_actions[i][t]
-            elif config.movement == FROZEN:
-                actions[i] = positions[i]
-            elif config.action_policy == RANDOM:
-                actions[i] = rng.integers(n)
-            else:
-                G = planner.scores(locs[i], objs[i], config.horizon)
-                idx = planning.sample_policy_index(G, config.temperature, rng)
-                actions[i] = idx // n ** (config.horizon - 1)
+        actions = _choose_actions(config, planner, t, positions, locs, objs, rngs)
         if trace is not None:
-            trace.actions[t] = actions
+            trace.actions[t, live] = actions
+        # one-row stacks keep each agent's move a matrix-vector product
+        moved = planner.moves(locs.reshape(-1, 1, n))[np.arange(actions.size), 0, actions.ravel()]
+        locs = moved.reshape(locs.shape)
         positions = world.env_step(positions, actions, config.graph)
+    return found_at
 
-    if trace is not None:
-        # the loop always ends at the break above, after t + 1 steps
-        trace.object_beliefs = trace.object_beliefs[: t + 1]
-        trace.location_beliefs = trace.location_beliefs[: t + 1]
-        trace.actions = trace.actions[: t + 1]
-        trace.observations = trace.observations[: t + 1]
-        trace.object_prior_msgs = trace.object_prior_msgs[: t + 1]
-        trace.object_likelihood_sums = trace.object_likelihood_sums[: t + 1]
 
-    found = steps_to_find is not None
-    return TrialResult(found, steps_to_find, trace, config.config_hash(), config.seed)
+def run_trial(config: ScenarioConfig) -> TrialResult:
+    """Execute one trial and record its trace: the trial step's batch of one.
+
+    Fully deterministic given the config's seed.
+    """
+    trace = BeliefTrace.empty(config.steps, 1, config.n_agents, config.graph.n_nodes, config.comm_mode)
+    objects = None if config.object_location is None else [config.object_location]
+    starts = [[s.start_node for s in config.agents]]
+    found_at = _step_trials(config, planner_context(config), starts, objects, [config.seed], trace)
+    steps_to_find = int(found_at[0]) or None
+    trace = trace.trial(0, steps_to_find or config.steps)
+    return TrialResult(steps_to_find is not None, steps_to_find, trace, config.config_hash(), config.seed)
+
+
+def run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> np.ndarray:
+    """Trials of ``template`` under one sweep mode, one per row of (starts, objects, seeds).
+
+    Each trial takes its start nodes, object node and seed from the arrays
+    and all else, the agents' priors included, from ``template``; "random"
+    is the no-planning baseline. Trials run through the trial step in
+    batches sized by ``planning.rows_per_call``. Returns each trial's step
+    of finding the object, 0 where it did not.
+    """
+    if mode not in SWEEP_MODES:
+        raise ConfigError(f"mode: unknown sweep mode {mode!r}")
+    starts, objects = np.asarray(starts), np.asarray(objects)
+    n = template.graph.n_nodes
+    if starts.shape != (len(objects), template.n_agents) or len(seeds) != len(objects):
+        raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
+    if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
+        raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
+    if mode == RANDOM:
+        config = replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM)
+    else:
+        config = replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
+    planner = planner_context(config)
+    size = max(1, planning.rows_per_call(n, config.horizon) // config.n_agents)
+    found_at = [
+        _step_trials(config, planner, starts[i : i + size], objects[i : i + size], seeds[i : i + size])
+        for i in range(0, len(objects), size)
+    ]
+    return np.concatenate([np.zeros(0, dtype=int), *found_at])
 
 
 # ---------------------------------------------------------------------------
@@ -485,37 +542,6 @@ def worker_count(requested: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(requested, cpus or 1, n_tasks))
 
 
-def _run_tasks(template: ScenarioConfig, planner: planning.PlannerContext, tasks: list) -> list:
-    out = []
-    for trial_id, mode, starts, obj, seed in tasks:
-        config = replace(
-            template,
-            agents=[AgentSpec(s, spec.object_prior) for s, spec in zip(starts, template.agents)],
-            object_location=obj,
-            comm_mode=CommMode.NONE if mode == RANDOM else CommMode(mode),
-            action_policy=RANDOM if mode == RANDOM else PLANNED,
-            seed=seed,
-            record_trace=False,
-        )
-        result = run_trial(config, planner)
-        out.append(
-            TrialRow(trial_id, mode, starts, obj, seed, result.found, result.steps_to_find)
-        )
-    return out
-
-
-# Per-process state of pool workers, set once by the pool initializer.
-_WORKER = {}
-
-
-def _sweep_worker_init(template: ScenarioConfig):
-    _WORKER["args"] = (template, planner_context(template))
-
-
-def _sweep_worker_run(tasks: list) -> list:
-    return _run_tasks(*_WORKER["args"], tasks)
-
-
 def run_sweep(
     template: ScenarioConfig,
     modes=SWEEP_MODES,
@@ -543,37 +569,34 @@ def run_sweep(
     if total > cap:
         raise SweepTooLarge(f"{total} trials exceed the cap of {cap}")
     planning.enumerate_policies(n, template.horizon)  # enforces the cap
-    combos = [
-        (starts, obj)
-        for starts in product(range(n), repeat=template.n_agents)
-        for obj in range(n)
+    combos = np.array(list(product(range(n), repeat=template.n_agents + 1)))
+    combos = combos.repeat(repeats, axis=0)
+    starts, objects = combos[:, :-1], combos[:, -1]
+    seeds = [trial_seed(template.seed, k) for k in range(len(combos))]
+
+    # Trial ids run mode by mode, then by combination, then by repeat; each
+    # worker takes every jobs-th trial of each mode.
+    jobs = worker_count(jobs, len(combos) * len(modes), os.cpu_count())
+    calls = [
+        (template, mode, starts[k::jobs], objects[k::jobs], seeds[k::jobs])
+        for mode in modes
+        for k in range(jobs)
     ]
-
-    # Enumerate deterministically: modes outer, then combo, then repeat.
-    tasks = []
-    trial_id = 0
-    for mode in modes:
-        paired_index = 0
-        for starts, obj in combos:
-            for _ in range(repeats):
-                tasks.append(
-                    (trial_id, mode, starts, obj, trial_seed(template.seed, paired_index))
-                )
-                trial_id += 1
-                paired_index += 1
-
-    jobs = worker_count(jobs, len(tasks), os.cpu_count())
     if jobs > 1:
-        chunks = [tasks[i::jobs] for i in range(jobs)]
-        rows = []
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_sweep_worker_init, initargs=(template,)
-        ) as pool:
-            for part in pool.map(_sweep_worker_run, chunks):
-                rows.extend(part)
-        rows.sort(key=lambda r: r.trial_id)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(run_trials, *zip(*calls)))
     else:
-        rows = _run_tasks(template, planner_context(template), tasks)
+        parts = [run_trials(*call) for call in calls]
+    rows = []
+    for m, mode in enumerate(modes):
+        found_at = np.empty(len(combos), dtype=int)
+        for k in range(jobs):
+            found_at[k::jobs] = parts[m * jobs + k]
+        rows += [
+            TrialRow(m * len(combos) + i, mode, tuple(starts[i].tolist()), int(objects[i]),
+                     seeds[i], bool(step), int(step) or None)
+            for i, step in enumerate(found_at)
+        ]
 
     aggregates = {}
     for mode in modes:

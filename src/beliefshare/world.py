@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, GraphTooLarge, ShapeError
 from .inference import LikelihoodTensor, TransitionTensor
 
 LOCATION = "location"
@@ -22,6 +22,10 @@ VISIBILITY_MODALITY = "visibility"
 
 VISIBLE = 0
 NOT_VISIBLE = 1
+
+# Largest graph a fixture may describe. A planning context holds about a
+# dozen n x n float tables, ~100 MB at this size.
+NODE_CAP = 1_000
 
 # Observation noise levels of the canonical tensors.
 LOCATION_ACCURACY = 0.99
@@ -97,6 +101,8 @@ def parse_graph_text(text: str) -> WorldGraph:
     if not entries:
         raise ShapeError("graph fixture is empty")
     n = max(entries) + 1
+    if n > NODE_CAP:
+        raise GraphTooLarge(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
     adj = np.zeros((n, n), dtype=bool)
     for node, nbs in entries.items():
         for nb in nbs:
@@ -175,29 +181,30 @@ def env_step(positions, actions, graph: WorldGraph) -> np.ndarray:
 
 def env_observe(
     positions,
-    object_location: int | None,
-    rng: np.random.Generator,
+    object_location,
+    u: np.ndarray,
     cum_A1: np.ndarray,
     A2: np.ndarray,
 ) -> tuple:
-    """Draw one location and one visibility outcome per agent: (loc_obs, vis_obs).
+    """One location and one visibility outcome per agent: (loc_obs, vis_obs).
 
-    Ground truth uses the same tensors the agents model with: ``cum_A1`` is
-    the location table cumulated over outcomes (axis 0), ``A2`` the
-    visibility table. Each agent draws its location, then its visibility,
-    in agent order. An absent object behaves like "not at the agent's node"
-    everywhere, so visible draws are false positives only.
+    ``u`` is (..., 2) uniforms over ``positions``, location then visibility
+    per agent, as ``rng.random((agents, 2))`` draws them. ``object_location``
+    is None (absent) or broadcasts against ``positions``. Ground truth uses
+    the agents' tensors: ``cum_A1`` is the location table cumulated over
+    outcomes (axis 0), ``A2`` the visibility table. An absent object behaves
+    like "not at the agent's node" everywhere, so visible draws are false
+    positives only.
     """
     positions = np.asarray(positions)
-    u = rng.random((positions.size, 2))
     # cum_A1 columns are sorted, so counting entries <= u is searchsorted(side="right")
-    loc_obs = np.minimum((cum_A1[:, positions] <= u[:, 0]).sum(axis=0), cum_A1.shape[0] - 1)
+    loc_obs = np.minimum((cum_A1[:, positions] <= u[..., 0]).sum(axis=0), cum_A1.shape[0] - 1)
     if object_location is not None:
         p_visible = A2[VISIBLE, positions, object_location]
     elif A2.shape[1] > 1:
         # any non-matching column of the visibility table
         p_visible = A2[VISIBLE, positions, positions - 1]
     else:
-        p_visible = np.zeros(positions.size)
-    vis_obs = np.where(u[:, 1] < p_visible, VISIBLE, NOT_VISIBLE)
+        p_visible = np.zeros(positions.shape)
+    vis_obs = np.where(u[..., 1] < p_visible, VISIBLE, NOT_VISIBLE)
     return loc_obs, vis_obs

@@ -269,14 +269,13 @@ def test_criterion_6_double_counting_identity():
     checked = 0
     for config in configs:
         trace = run_trial(config).trace
-        for t, round_messages in enumerate(trace.messages):
-            for _, msg in round_messages:
-                sender = msg.sender
+        for t in range(trace.n_steps):
+            for sender in range(trace.n_agents):
                 decomposed = (
                     trace.object_prior_msgs[t, sender]
                     + trace.object_likelihood_sums[t, sender]
                 )
-                payload = msg.payload.logits
+                payload = trace.messages[t, sender]
                 dev = np.abs(
                     (payload - payload.max()) - (decomposed - decomposed.max())
                 ).max()

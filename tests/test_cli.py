@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +83,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="object"):
             parse_config_text(MINIMAL + "object = somewhere\n")
 
-    def test_unknown_key_warns(self):
-        with pytest.warns(UserWarning, match="colour"):
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'colour'"):
             parse_config_text(MINIMAL + "colour = blue\n")
 
     def test_round_trip(self, tmp_path):
@@ -328,6 +329,35 @@ class TestSweepInputs:
         code, err, _ = self.sweep(tmp_path, capsys, extra)
         assert code == EXIT_USAGE
         assert len(err) == 1 and f"config error: {key}:" in err[0]
+
+    @pytest.mark.parametrize(
+        "extra, words",
+        [
+            ("temprature = 9\n", "unknown config key 'temprature'"),
+            ("agent = 0 | peak:99\n", "agent (line 8): node 99 out of range"),
+            ("agent = 0 | bump:1,99\n", "agent (line 8): node 99 out of range"),
+            ("agent = 0 | peak:-1\n", "agent (line 8): node -1 out of range"),
+            ("graph = one.txt\nagent = 0 | peak:0\n", "agent (line 9): 'peak' takes one node"),
+        ],
+    )
+    def test_bad_line_rejected(self, tmp_path, capsys, extra, words):
+        (tmp_path / "one.txt").write_text("0:\n")
+        code, err, _ = self.sweep(tmp_path, capsys, extra)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+    def test_graph_fixture_node_cap(self, tmp_path, capsys):
+        # a 5001 x 5001 adjacency matrix would take 25 MB
+        (tmp_path / "huge.txt").write_text("5000: 0\n")
+        tracemalloc.start()
+        try:
+            code, err, _ = self.sweep(tmp_path, capsys, "graph = huge.txt\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAP
+        assert len(err) == 1 and "5001 nodes" in err[0]
+        assert peak < 1_000_000
 
     def test_missing_graph_fixture_is_io_error(self, tmp_path, capsys):
         code, err, _ = self.sweep(tmp_path, capsys, "graph = missing.txt\n")

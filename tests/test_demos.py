@@ -24,7 +24,7 @@ def test_demo_exits_cleanly(script):
 
 
 def test_find_rate_demo_imports():
-    # a full run takes about a minute; loading it still fails on a deleted public name
+    # loading the demo without running it still fails on a deleted public name
     path = ROOT / "demos" / "04_find_rate_comparison.py"
     spec = importlib.util.spec_from_file_location("find_rate_demo", path)
     demo = importlib.util.module_from_spec(spec)

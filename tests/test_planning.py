@@ -16,11 +16,13 @@ from beliefshare.inference import (
 )
 from beliefshare.model import BeliefState, default_preferences, initial_state, make_agent_model
 from beliefshare.planning import (
+    SCORE_BYTES,
     PlannerContext,
     PreferenceModel,
     enumerate_policies,
     expected_free_energy,
     rollout_predict,
+    rows_per_call,
     sample_policy_index,
 )
 
@@ -256,6 +258,30 @@ class TestBatchAgreement:
                 assert np.abs(np.asarray(G_ref) - G_fast).max() < 1e-10
 
 
+class TestStackedScores:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_rows_match_single_beliefs(self, graph, horizon, rows, seed):
+        n = graph.n_nodes
+        rng = np.random.default_rng(seed)
+        planner = PlannerContext(make_agent_model(graph, 0, np.ones(n) / n))
+        # half the location beliefs one-hot, as an agent's usually is
+        locs = np.array([np.eye(n)[rng.integers(n)] if k % 2 else rng.dirichlet(np.ones(n))
+                         for k in range(rows)])
+        objs = rng.dirichlet(np.ones(n), size=rows)
+        stacked = planner.scores(locs, objs, horizon)
+        single = np.array([planner.scores(loc, obj, horizon) for loc, obj in zip(locs, objs)])
+        assert stacked.shape == (rows, n**horizon)
+        assert np.abs(stacked - single).max() <= 1e-12
+
+    def test_rows_per_call(self):
+        # one 15-node, horizon-2 belief holds 225 x 15 floats, 27,000 bytes
+        assert rows_per_call(15, 2) == SCORE_BYTES // 27_000
+        # one 100-node belief alone (8 MB) exceeds the budget: still one row
+        assert 8 * 100**3 > SCORE_BYTES
+        assert rows_per_call(100, 2) == 1
+
+
 class TestPreferenceModel:
     def test_rejects_non_finite(self):
         from beliefshare.errors import ShapeError
@@ -275,22 +301,22 @@ class TestSelectAction:
         G = np.full(4, -1.5)
         rng = np.random.default_rng(8)
         counts = np.bincount(
-            [sample_policy_index(G, 1.0, rng) for _ in range(8000)], minlength=4
+            [sample_policy_index(G, 1.0, rng.random()) for _ in range(8000)], minlength=4
         )
         assert np.all(np.abs(counts / 8000 - 0.25) < 0.02)
 
     def test_sharp_temperature_picks_argmin(self):
         G = np.array([0.0, -1.0])
         rng = np.random.default_rng(9)
-        picks = [sample_policy_index(G, 200.0, rng) for _ in range(500)]
+        picks = [sample_policy_index(G, 200.0, rng.random()) for _ in range(500)]
         assert np.mean(np.asarray(picks) == 1) > 0.999
 
     def test_softmax_probability_point_eight(self):
         G = np.array([0.0, np.log(4)])
         rng = np.random.default_rng(10)
-        first = np.mean([sample_policy_index(G, 1.0, rng) == 0 for _ in range(10_000)])
+        first = np.mean([sample_policy_index(G, 1.0, rng.random()) == 0 for _ in range(10_000)])
         assert first == pytest.approx(0.8, abs=0.02)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            sample_policy_index(np.array([]), 1.0, np.random.default_rng(0))
+            sample_policy_index(np.array([]), 1.0, 0.5)

@@ -19,6 +19,7 @@ from beliefshare.model import (
     perceive,
 )
 from beliefshare.simulate import (
+    SWEEP_MODES,
     AgentSpec,
     ScenarioConfig,
     bumped_prior,
@@ -27,6 +28,7 @@ from beliefshare.simulate import (
     planner_context,
     run_sweep,
     run_trial,
+    run_trials,
     self_doubt_config,
     trial_seed,
     worker_count,
@@ -79,7 +81,8 @@ def reference_trial(config):
         vis_obs = [None] * n_agents
         if need_draws:
             drawn_loc, drawn_vis = world.env_observe(
-                positions, config.object_location, rng, cum_A1, models[0].A_visibility.table
+                positions, config.object_location, rng.random((n_agents, 2)), cum_A1,
+                models[0].A_visibility.table,
             )
             if config.observe_location:
                 loc_obs = list(drawn_loc)
@@ -116,7 +119,7 @@ def reference_trial(config):
                 actions.append(int(rng.integers(n)))
             else:
                 G = planner.scores(states[i].location.probs, states[i].object.probs, config.horizon)
-                idx = planning.sample_policy_index(G, config.temperature, rng)
+                idx = planning.sample_policy_index(G, config.temperature, rng.random())
                 actions.append(idx // n ** (config.horizon - 1))
             states[i].last_action = actions[i]
         all_actions.append(actions)
@@ -233,7 +236,7 @@ class TestPlannerContext:
         graph = world.WorldGraph.grid(10, 20)
         config = ScenarioConfig(
             graph=graph, agents=[AgentSpec(0, np.ones(200) / 200)],
-            object_location=None, comm_mode=CommMode.NONE,
+            object_location=None, comm_mode=CommMode.NONE, horizon=1,
         )
         tracemalloc.start()
         try:
@@ -297,7 +300,6 @@ class TestFindCriterion:
                 steps=2,
                 temperature=5.0,
                 seed=seed,
-                record_trace=False,
             )
             found += run_trial(config).found
         assert found / n >= 0.95
@@ -483,6 +485,59 @@ class TestSweep:
     def test_bad_repeats(self):
         with pytest.raises(ConfigError):
             run_sweep(sweep_template(self.SMALL), repeats=0)
+
+
+class TestTrialBatches:
+    """run_trials steps many trials at once; each must end as it does alone."""
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "flags", [{}, {"observe_location": False}, {"observe_visibility": False}]
+    )
+    def test_batches_match_single_trials(self, monkeypatch, n_agents, flags):
+        # room for 7 beliefs per scoring call: batches of 7, 3 and 2 trials
+        # for 1, 2 and 3 agents, none of which divides the 11 trials
+        monkeypatch.setattr(planning, "SCORE_BYTES", 7 * 8 * 15**3)
+        template = sweep_template(GRAPH, n_agents, steps=8, temperature=4.0, **flags)
+        rng = np.random.default_rng(n_agents)
+        starts = rng.integers(15, size=(11, n_agents))
+        objects = rng.integers(15, size=11)
+        seeds = [trial_seed(3, k) for k in range(11)]
+        finds = set()
+        for mode in SWEEP_MODES:
+            batched = run_trials(template, mode, starts, objects, seeds)
+            for k in range(11):
+                config = replace(
+                    template,
+                    agents=[AgentSpec(int(s), a.object_prior) for s, a in zip(starts[k], template.agents)],
+                    object_location=int(objects[k]),
+                    comm_mode=CommMode.NONE if mode == "random" else CommMode(mode),
+                    action_policy="random" if mode == "random" else "plan",
+                    seed=seeds[k],
+                )
+                alone = run_trial(config)
+                assert (batched[k] > 0, int(batched[k]) or None) == (alone.found, alone.steps_to_find)
+            finds.update(batched.tolist())
+        if flags.get("observe_visibility", True):
+            assert len(finds) >= 3  # unfound trials, and finds at two or more steps
+
+    def test_scoring_splits_agents_over_calls(self, monkeypatch):
+        # two beliefs per scoring call: one three-agent trial needs two calls
+        monkeypatch.setattr(planning, "SCORE_BYTES", 2 * 8 * 15**3)
+        template = sweep_template(GRAPH, 3, steps=6, temperature=4.0)
+        starts, objects, seeds = [[0, 7, 14], [3, 3, 9]], [12, 5], [8, 9]
+        batched = run_trials(template, "likelihood_sharing", starts, objects, seeds)
+        monkeypatch.undo()
+        assert np.array_equal(batched, run_trials(template, "likelihood_sharing", starts, objects, seeds))
+
+    def test_rejects_bad_trials(self):
+        template = sweep_template(GRAPH, 2)
+        with pytest.raises(ConfigError, match="^mode"):
+            run_trials(template, "shouting", [[0, 1]], [2], [1])
+        with pytest.raises(ConfigError, match="^trials"):
+            run_trials(template, "none", [[0]], [2], [1])
+        with pytest.raises(ConfigError, match="^trials"):
+            run_trials(template, "none", [[0, 15]], [2], [1])
 
 
 class TestWorkerCount:

@@ -128,8 +128,8 @@ class TestEnvStep:
 
 class TestEnvObserve:
     def test_seed_determinism(self):
-        a = env_observe([3, 7], 3, np.random.default_rng(99), *GRID_TENSORS)
-        b = env_observe([3, 7], 3, np.random.default_rng(99), *GRID_TENSORS)
+        a = env_observe([3, 7], 3, np.random.default_rng(99).random((2, 2)), *GRID_TENSORS)
+        b = env_observe([3, 7], 3, np.random.default_rng(99).random((2, 2)), *GRID_TENSORS)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_draws_location_then_visibility_per_agent(self):
@@ -143,12 +143,16 @@ class TestEnvObserve:
                 loc = int(np.searchsorted(cum_A1[:, pos], rng.random(), side="right"))
                 vis = VISIBLE if rng.random() < A2[VISIBLE, pos, obj] else NOT_VISIBLE
                 expected.append((min(loc, 14), vis))
-            loc_obs, vis_obs = env_observe(positions, obj, np.random.default_rng(seed), *GRID_TENSORS)
+            loc_obs, vis_obs = env_observe(
+                positions, obj, np.random.default_rng(seed).random((3, 2)), *GRID_TENSORS
+            )
             assert list(zip(loc_obs.tolist(), vis_obs.tolist())) == expected
 
     def test_visibility_frequencies(self):
         rng = np.random.default_rng(1234)
-        draws = np.array([env_observe([3, 7], 3, rng, *GRID_TENSORS)[1] for _ in range(10_000)])
+        draws = np.array(
+            [env_observe([3, 7], 3, rng.random((2, 2)), *GRID_TENSORS)[1] for _ in range(10_000)]
+        )
         co_located = np.mean(draws[:, 0] == VISIBLE)
         apart = np.mean(draws[:, 1] == VISIBLE)
         assert co_located == pytest.approx(0.8, abs=0.02)
@@ -159,18 +163,17 @@ class TestEnvObserve:
         counts = np.zeros(15)
         n = 10_000
         for _ in range(n):
-            counts[env_observe([5], None, rng, *GRID_TENSORS)[0][0]] += 1
+            counts[env_observe([5], None, rng.random((1, 2)), *GRID_TENSORS)[0][0]] += 1
         expected = build_A1(15).table[:, 5] * n
         assert chisquare(counts, expected).pvalue > 1e-3
 
     def test_absent_object_false_positive_rate(self):
         rng = np.random.default_rng(777)
-        freq = np.mean(
-            [env_observe([5], None, rng, *GRID_TENSORS)[1][0] == VISIBLE for _ in range(10_000)]
-        )
+        draws = [env_observe([5], None, rng.random((1, 2)), *GRID_TENSORS)[1][0] for _ in range(10_000)]
+        freq = np.mean(np.asarray(draws) == VISIBLE)
         assert freq == pytest.approx(0.2, abs=0.02)
 
     def test_single_node_world(self):
         rng = np.random.default_rng(5)
-        loc_obs, _ = env_observe([0], 0, rng, *observation_tensors(1))
+        loc_obs, _ = env_observe([0], 0, rng.random((1, 2)), *observation_tensors(1))
         assert loc_obs.tolist() == [0]
