@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import permutations
 
@@ -25,30 +25,59 @@ from .simulate import AgentSpec, ScenarioConfig, SweepResult
 
 __version__ = "0.1.0"
 
-JOBS_ENV_VAR = "BELIEFSHARE_JOBS"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAP = 3
 
-# Documented config keys; any other key is rejected.
+
+def _flag(value: str) -> bool:
+    if value in ("on", "true", "yes", "1"):
+        return True
+    if value in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(value)
+
+
+def _object_node(value: str) -> int | None:
+    return None if value == "absent" else int(value)
+
+
+def _sweep_modes(value: str) -> tuple:
+    modes = tuple(value.replace(",", " ").split())
+    if not set(modes) <= set(simulate.SWEEP_MODES):
+        raise ValueError(value)
+    return modes
+
+
+def _agent(value: str) -> tuple:
+    start, sep, prior = value.partition("|")
+    if not sep:
+        raise ValueError(value)
+    return int(start), prior
+
+
+# Config keys: key -> (converter, what it expects). Any other key is rejected,
+# and a key a file leaves out keeps its ScenarioConfig default.
 CONFIG_KEYS = {
-    "graph": "graph fixture path, or 'default' for the shipped 15-node grid",
-    "comm_mode": "none | posterior_sharing | likelihood_sharing (sweeps take the channel from sweep_modes)",
-    "object": "true object node index, or 'absent' (sweeps need 'absent': they place it on every node)",
-    "horizon": "planning horizon (default 2)",
-    "steps": "trial length (default 20)",
-    "temperature": "action-selection temperature (default 1.0)",
-    "seed": "master seed (default 42)",
-    "observe_location": "on | off (default on)",
-    "observe_visibility": "on | off (default on)",
-    "movement": "free | frozen (default free)",
-    "action_policy": "plan | random (default plan; sweeps need plan and take 'random' from sweep_modes)",
-    "visible_bonus": "preference in nats for the visible outcome (default 2.0)",
-    "sweep_modes": "comma list of sweep modes (default all four)",
-    "agent": "one per agent: '<start_node> | <object prior spec>' (sweeps enumerate the start nodes)",
+    "graph": (str, "a graph fixture path, or 'default' for the shipped 15-node grid"),
+    "comm_mode": (CommMode, "none, posterior_sharing or likelihood_sharing"),
+    "object": (_object_node, "a node index or 'absent' (a sweep needs 'absent')"),
+    "horizon": (int, "an integer planning horizon"),
+    "steps": (int, "an integer trial length"),
+    "temperature": (float, "a number, the action-selection temperature"),
+    "seed": (int, "an integer master seed"),
+    "observe_location": (_flag, "on/off"),
+    "observe_visibility": (_flag, "on/off"),
+    "movement": (str, "free or frozen"),
+    "action_policy": (str, "plan or random (a sweep needs plan)"),
+    "visible_bonus": (float, "a number, the preference in nats for the visible outcome"),
+    "sweep_modes": (_sweep_modes, "a comma list of likelihood_sharing, posterior_sharing, none, random"),
+    "agent": (_agent, "'<start node> | <object prior spec>', one line per agent"),
 }
+
+# Config keys named apart from their ScenarioConfig field.
+_FIELDS = {"graph": "graph_ref", "object": "object_location"}
 
 
 def _fmt(x: float) -> str:
@@ -94,109 +123,44 @@ def _prior_spec_str(prior: np.ndarray) -> str:
 
 def parse_config_text(text: str, base_dir: str = ".") -> tuple:
     """Parse a scenario config; returns (ScenarioConfig, sweep_modes)."""
-    values = {}
+    settings = {}
     agent_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "agent":
-            agent_lines.append((lineno, value))
-        elif key in CONFIG_KEYS:
-            values[key] = value
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        convert, expected = CONFIG_KEYS[key]
+        try:
+            setting = convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} (line {lineno}): expected {expected}, got {value!r}") from exc
+        if key == "agent":
+            agent_lines.append((lineno, *setting))
+        else:
+            settings[key] = setting
 
-    graph_ref = values.get("graph", "default")
+    graph_ref = settings.get("graph", "default")
     if graph_ref == "default":
         graph = world.default_graph()
     else:
-        path = graph_ref if os.path.isabs(graph_ref) else os.path.join(base_dir, graph_ref)
-        graph = world.load_graph_fixture(path)
-    n = graph.n_nodes
-
-    if "comm_mode" not in values:
+        graph = world.load_graph_fixture(os.path.join(base_dir, graph_ref))
+    if "comm_mode" not in settings:
         raise ConfigError("comm_mode: missing required key")
-    try:
-        comm_mode = CommMode(values["comm_mode"])
-    except ValueError as exc:
-        raise ConfigError(f"comm_mode: unknown mode {values['comm_mode']!r}") from exc
-
     if not agent_lines:
         raise ConfigError("agent: need at least one 'agent = start | prior' line")
-    agents = []
-    for lineno, value in agent_lines:
-        head, sep, tail = value.partition("|")
-        if not sep:
-            raise ConfigError(f"agent (line {lineno}): expected '<start> | <prior spec>'")
-        try:
-            start = int(head.strip())
-        except ValueError as exc:
-            raise ConfigError(f"agent (line {lineno}): bad start node {head.strip()!r}") from exc
-        agents.append(AgentSpec(start, _parse_prior(tail, n, f"agent (line {lineno})")))
-
-    def _int(key, default):
-        try:
-            return int(values.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {values[key]!r}") from exc
-
-    def _float(key, default):
-        try:
-            return float(values.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {values[key]!r}") from exc
-
-    def _flag(key, default):
-        value = values.get(key)
-        if value is None:
-            return default
-        if value in ("on", "true", "yes", "1"):
-            return True
-        if value in ("off", "false", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: expected on/off, got {value!r}")
-
-    obj_value = values.get("object", "absent")
-    if obj_value == "absent":
-        object_location = None
-    else:
-        try:
-            object_location = int(obj_value)
-        except ValueError as exc:
-            raise ConfigError("object: expected a node index or 'absent'") from exc
-
-    sweep_modes = tuple(
-        tok for tok in values.get("sweep_modes", ",".join(simulate.SWEEP_MODES)).replace(
-            ",", " "
-        ).split()
-    )
-    for mode in sweep_modes:
-        if mode not in simulate.SWEEP_MODES:
-            raise ConfigError(f"sweep_modes: unknown mode {mode!r}")
-
-    config = ScenarioConfig(
-        graph=graph,
-        agents=agents,
-        object_location=object_location,
-        comm_mode=comm_mode,
-        horizon=_int("horizon", 2),
-        steps=_int("steps", 20),
-        temperature=_float("temperature", 1.0),
-        seed=_int("seed", 42),
-        observe_location=_flag("observe_location", True),
-        observe_visibility=_flag("observe_visibility", True),
-        movement=values.get("movement", simulate.FREE),
-        action_policy=values.get("action_policy", simulate.PLANNED),
-        visible_bonus=_float("visible_bonus", 2.0),
-        graph_ref=graph_ref,
-    )
-    return config, sweep_modes
+    agents = [
+        AgentSpec(start, _parse_prior(prior, graph.n_nodes, f"agent (line {lineno})"))
+        for lineno, start, prior in agent_lines
+    ]
+    sweep_modes = settings.pop("sweep_modes", simulate.SWEEP_MODES)
+    fields = {_FIELDS.get(key, key): value for key, value in settings.items()}
+    return ScenarioConfig(graph=graph, agents=agents, **fields), sweep_modes
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -232,37 +196,6 @@ def serialize_config(config: ScenarioConfig, sweep_modes=None) -> str:
 
 # ---------------------------------------------------------------------------
 # Output writers
-
-
-@dataclass
-class RunManifest:
-    tool_version: str
-    config_hash: str
-    master_seed: int
-    created_at: str
-    files: list
-    resolved_config: str = ""
-
-    def write(self, out_dir: str):
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.__dict__, fh, indent=2)
-            fh.write("\n")
-
-
-def _checksum(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _manifest_entry(path: str) -> dict:
-    return {
-        "name": os.path.basename(path),
-        "sha256": _checksum(path),
-        "bytes": os.path.getsize(path),
-    }
 
 
 def _open_csv(path: str):
@@ -308,24 +241,20 @@ def write_trace_files(trace, out_dir: str) -> list:
 
 
 def write_sweep_files(result: SweepResult, out_dir: str) -> list:
+    """trials.csv, one row per trial (combination j of mode m is trial m * C + j), and aggregate.csv."""
     trials_path = os.path.join(out_dir, "trials.csv")
     fh, writer = _open_csv(trials_path)
     with fh:
         writer.writerow(
             ["trial_id", "mode", "agent_starts", "object_location", "seed", "found", "steps_to_find"]
         )
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.trial_id,
-                    row.mode,
-                    ";".join(str(s) for s in row.agent_starts),
-                    row.object_location,
-                    row.seed,
-                    "true" if row.found else "false",
-                    "" if row.steps_to_find is None else row.steps_to_find,
-                ]
-            )
+        starts = [";".join(str(s) for s in row) for row in result.starts.tolist()]
+        combos = list(zip(starts, result.objects.tolist(), result.seeds))
+        for m, mode in enumerate(result.modes):
+            for j, step in enumerate(result.found_at[m].tolist()):
+                writer.writerow(
+                    [m * len(combos) + j, mode, *combos[j], "true" if step else "false", step or ""]
+                )
 
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     fh, writer = _open_csv(aggregate_path)
@@ -336,18 +265,25 @@ def write_sweep_files(result: SweepResult, out_dir: str) -> list:
     return [trials_path, aggregate_path]
 
 
-def _write_manifest(
-    out_dir: str, config_hash: str, master_seed: int, paths: list, resolved_config: str = ""
-):
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_hash=config_hash,
-        master_seed=master_seed,
-        created_at=datetime.now(timezone.utc).isoformat(),
-        files=[_manifest_entry(p) for p in paths],
-        resolved_config=resolved_config,
-    )
-    manifest.write(out_dir)
+def _write_manifest(out_dir: str, config_hash: str, master_seed: int, paths: list, resolved_config: str):
+    files = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        files.append(
+            {"name": os.path.basename(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        )
+    manifest = {
+        "tool_version": __version__,
+        "config_hash": config_hash,
+        "master_seed": master_seed,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "files": files,
+        "resolved_config": resolved_config,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +318,7 @@ def cmd_scenario(name: str, mode: str, out_dir: str, seed: int = 42) -> int:
     return EXIT_OK
 
 
-def _jobs_from_env() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{JOBS_ENV_VAR}: expected an integer, got {raw!r}") from None
-
-
-def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = None, jobs: int | None = None) -> int:
+def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = None, jobs: int = 1) -> int:
     """Run the find-rate sweep described by a config file."""
     try:
         with open(config_path, encoding="utf-8") as fh:
@@ -406,8 +334,6 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
             return EXIT_IO
         if seed is not None:
             config = replace(config, seed=seed)
-        if jobs is None:
-            jobs = _jobs_from_env()
         result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -453,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repeats", type=int, default=5)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -60,8 +60,8 @@ class ScenarioConfig:
 
     graph: world.WorldGraph
     agents: list
-    object_location: int | None
     comm_mode: CommMode
+    object_location: int | None = None
     horizon: int = 2
     steps: int = 20
     temperature: float = 1.0
@@ -83,6 +83,8 @@ class ScenarioConfig:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature: must be finite and positive, got {self.temperature}")
         if not math.isfinite(self.visible_bonus):
@@ -514,22 +516,30 @@ def self_doubt_config(
 
 
 @dataclass
-class TrialRow:
-    trial_id: int
-    mode: str
-    agent_starts: tuple
-    object_location: int
-    seed: int
-    found: bool
-    steps_to_find: int | None
-
-
-@dataclass
 class SweepResult:
-    rows: list
-    aggregates: dict  # mode -> (find_rate, stderr, n_trials)
+    """A sweep's trials as arrays: combination j under ``modes[m]`` is trial m * C + j.
+
+    ``starts`` is (C, agents) start nodes, ``objects`` C object nodes and
+    ``seeds`` C trial seeds, each shared by every mode. ``found_at`` is
+    (modes, C): the step each trial found the object, 0 where it did not.
+    """
+
+    modes: tuple
+    starts: np.ndarray
+    objects: np.ndarray
+    seeds: list
+    found_at: np.ndarray
     master_seed: int
-    repeats: int
+
+    @property
+    def aggregates(self) -> dict:
+        """mode -> (find rate, its standard error, trial count)."""
+        n = self.found_at.shape[1]
+        rates = (self.found_at > 0).mean(axis=1)
+        return {
+            mode: (float(rate), float(np.sqrt(rate * (1.0 - rate) / n)), n)
+            for mode, rate in zip(self.modes, rates)
+        }
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -560,6 +570,8 @@ def run_sweep(
     """
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
+    if len(set(modes)) < len(modes):
+        raise ConfigError(f"sweep_modes: each mode may be listed once, got {','.join(modes)}")
     if template.object_location is not None:
         raise ConfigError("object: a sweep places the object on every node; set it to 'absent'")
     if template.action_policy != PLANNED:
@@ -587,21 +599,7 @@ def run_sweep(
             parts = list(pool.map(run_trials, *zip(*calls)))
     else:
         parts = [run_trials(*call) for call in calls]
-    rows = []
-    for m, mode in enumerate(modes):
-        found_at = np.empty(len(combos), dtype=int)
-        for k in range(jobs):
-            found_at[k::jobs] = parts[m * jobs + k]
-        rows += [
-            TrialRow(m * len(combos) + i, mode, tuple(starts[i].tolist()), int(objects[i]),
-                     seeds[i], bool(step), int(step) or None)
-            for i, step in enumerate(found_at)
-        ]
-
-    aggregates = {}
-    for mode in modes:
-        outcomes = np.array([r.found for r in rows if r.mode == mode], dtype=float)
-        rate = float(outcomes.mean())
-        stderr = float(np.sqrt(rate * (1.0 - rate) / outcomes.size))
-        aggregates[mode] = (rate, stderr, int(outcomes.size))
-    return SweepResult(rows, aggregates, template.seed, repeats)
+    found_at = np.empty((len(modes), len(combos)), dtype=int)
+    for i, part in enumerate(parts):
+        found_at[i // jobs, i % jobs :: jobs] = part
+    return SweepResult(tuple(modes), starts, objects, seeds, found_at, template.seed)

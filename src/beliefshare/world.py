@@ -7,7 +7,6 @@ agent stays put, which keeps every dynamics column exactly stochastic.
 
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -120,14 +119,10 @@ def format_graph_text(graph: WorldGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph_fixture(path=None) -> WorldGraph:
-    """Load a graph fixture file; with no path, the shipped 15-node grid."""
-    if path is None:
-        text = resources.files("beliefshare.fixtures").joinpath("default_graph.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_graph_text(text)
+def load_graph_fixture(path: str) -> WorldGraph:
+    """Load a graph fixture file."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_graph_text(fh.read())
 
 
 def default_graph() -> WorldGraph:

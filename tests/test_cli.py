@@ -83,6 +83,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="object"):
             parse_config_text(MINIMAL + "object = somewhere\n")
 
+    def test_observe_flags_off(self):
+        config, _ = parse_config_text(MINIMAL + "observe_location = off\nobserve_visibility = off\n")
+        assert config.observe_location is False
+        assert config.observe_visibility is False
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'colour'"):
             parse_config_text(MINIMAL + "colour = blue\n")
@@ -250,6 +255,13 @@ class TestCmdSweep:
         assert agg[0] == ["mode", "find_rate", "stderr", "n_trials"]
         assert {r[0] for r in agg[1:]} == {"likelihood_sharing", "none", "random"}
         assert all(r[3] == "18" for r in agg[1:])
+        # trial ids run mode by mode; the k-th trial of every mode shares starts, object and seed
+        trials = rows[1:]
+        assert [int(r[0]) for r in trials] == list(range(len(trials)))
+        blocks = [trials[m * 18 : (m + 1) * 18] for m in range(3)]
+        assert [{r[1] for r in block} for block in blocks] == [{"likelihood_sharing"}, {"none"}, {"random"}]
+        for block in blocks[1:]:
+            assert [r[2:5] for r in block] == [r[2:5] for r in blocks[0]]
         assert "find rate" in capsys.readouterr().out
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -282,10 +294,10 @@ def run_main(argv, capsys):
 class TestSweepInputs:
     """Sweep configs: every key takes effect or is rejected, bad inputs end in one line."""
 
-    def sweep(self, tmp_path, capsys, extra="", name="out", args=()):
+    def sweep(self, tmp_path, capsys, extra="", name="out", args=(), base=SWEEP_CFG):
         (tmp_path / "tiny.txt").write_text("0: 1\n1: 0,2\n2: 1\n")
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CFG + extra)
+        cfg.write_text(base + extra)
         out = tmp_path / name
         argv = ["sweep", "--config", str(cfg), "--repeats", "2", "--out", str(out), *args]
         return (*run_main(argv, capsys), out)
@@ -338,11 +350,25 @@ class TestSweepInputs:
             ("agent = 0 | bump:1,99\n", "agent (line 8): node 99 out of range"),
             ("agent = 0 | peak:-1\n", "agent (line 8): node -1 out of range"),
             ("graph = one.txt\nagent = 0 | peak:0\n", "agent (line 9): 'peak' takes one node"),
+            ("sweep_modes = none,telepathy\n", "sweep_modes (line 8): expected"),
+            ("sweep_modes = none,none\n", "sweep_modes: each mode may be listed once"),
+            ("agent = 0 | bump:1,x\n", "agent (line 8): cannot parse prior spec"),
+            ("agent = 0 | 0.5,x,0.5\n", "agent (line 8): cannot parse prior spec"),
+            ("agent = 0 | 0.5,0.5\n", "agent (line 8): prior has 2 entries, world has 3"),
+            ("agent = x | uniform\n", "agent (line 8): expected"),
+            ("agent = 7 | uniform\n", "agents[1].start_node: 7 out of range"),
+            ("steps 4\n", "line 8: expected 'key = value'"),
+            ("temperature = abc\n", "temperature (line 8): expected a number"),
+            ("seed = -1\n", "seed: must be >= 0"),
+            (None, "agent: need at least one"),
         ],
     )
     def test_bad_line_rejected(self, tmp_path, capsys, extra, words):
         (tmp_path / "one.txt").write_text("0:\n")
-        code, err, _ = self.sweep(tmp_path, capsys, extra)
+        if extra is None:  # the sweep config without its agent line
+            code, err, _ = self.sweep(tmp_path, capsys, base=SWEEP_CFG.replace("agent = 0 | uniform\n", ""))
+        else:
+            code, err, _ = self.sweep(tmp_path, capsys, extra)
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
 
@@ -381,11 +407,10 @@ class TestSweepInputs:
         assert code == EXIT_CAP
         assert len(err) == 1 and "policies" in err[0]
 
-    def test_jobs_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "abc")
-        code, err, _ = self.sweep(tmp_path, capsys)
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        code, err, _ = self.sweep(tmp_path, capsys, args=("--seed", "-1"))
         assert code == EXIT_USAGE
-        assert len(err) == 1 and cli.JOBS_ENV_VAR in err[0]
+        assert len(err) == 1 and "seed: must be >= 0" in err[0]
 
 
 class TestMain:
@@ -407,11 +432,16 @@ class TestMain:
         )
         assert code == EXIT_OK
 
-    def test_jobs_env_override(self, tmp_path, monkeypatch, capsys):
+    def test_negative_scenario_seed_rejected(self, tmp_path, capsys):
+        argv = ["scenario", "echo-chamber", "--mode", "none", "--out", str(tmp_path / "o"), "--seed", "-1"]
+        code, err = run_main(argv, capsys)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and "seed: must be >= 0" in err[0]
+
+    def test_sweep_jobs_through_main(self, tmp_path, capsys):
         (tmp_path / "tiny.txt").write_text("0: 1\n1: 0\n")
         cfg = tmp_path / "s.cfg"
         cfg.write_text("comm_mode = none\nsteps = 3\nagent = 0 | uniform\ngraph = tiny.txt\nsweep_modes = none\n")
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-        code = main(["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(tmp_path / "o")])
-        assert code == EXIT_OK
+        argv = ["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(tmp_path / "o"), "--jobs", "2"]
+        assert main(argv) == EXIT_OK
         capsys.readouterr()

@@ -425,40 +425,34 @@ class TestSweep:
         per_mode = 3 * 3 * 2
         assert result.master_seed == 5
         assert result.aggregates["likelihood_sharing"][2] == per_mode
-        assert len(result.rows) == per_mode * 2
-        by_mode = {
-            mode: [r for r in result.rows if r.mode == mode]
-            for mode in ("likelihood_sharing", "none")
-        }
-        # paired seeds: the k-th trial of each mode shares its seed
-        for a, b in zip(by_mode["likelihood_sharing"], by_mode["none"]):
-            assert a.seed == b.seed
-            assert (a.agent_starts, a.object_location) == (b.agent_starts, b.object_location)
-        assert [r.trial_id for r in result.rows] == list(range(len(result.rows)))
+        assert result.modes == ("likelihood_sharing", "none")
+        assert result.found_at.shape == (2, per_mode)
+        # paired seeds: every mode runs combination j with the same starts, object and seed
+        assert result.starts.shape == (per_mode, 1)
+        assert len(result.objects) == len(result.seeds) == per_mode
+        assert result.seeds == [trial_seed(5, k) for k in range(per_mode)]
+        combos = list(zip(result.starts[:, 0].tolist(), result.objects.tolist()))
+        assert combos == [divmod(k, 3) for k in range(9) for _ in range(2)]
 
     def test_deterministic_across_runs(self):
         template = sweep_template(self.SMALL, seed=9)
         a = run_sweep(template, modes=("none", "random"), repeats=2)
         b = run_sweep(template, modes=("none", "random"), repeats=2)
         assert a.aggregates == b.aggregates
-        assert [(r.found, r.steps_to_find) for r in a.rows] == [
-            (r.found, r.steps_to_find) for r in b.rows
-        ]
+        assert np.array_equal(a.found_at, b.found_at)
 
     def test_parallel_equals_serial(self):
         template = sweep_template(self.SMALL, seed=11)
         serial = run_sweep(template, modes=("none",), repeats=2, jobs=1)
         parallel = run_sweep(template, modes=("none",), repeats=2, jobs=2)
         assert serial.aggregates == parallel.aggregates
-        assert [(r.trial_id, r.found) for r in serial.rows] == [
-            (r.trial_id, r.found) for r in parallel.rows
-        ]
+        assert np.array_equal(serial.found_at, parallel.found_at)
 
     def test_template_settings_reach_trials(self):
         # an agent that cannot see the object never finds it, whatever the mode
         blind = sweep_template(self.SMALL, steps=6, observe_visibility=False)
         result = run_sweep(blind, modes=("likelihood_sharing", "random"), repeats=2)
-        assert not any(r.found for r in result.rows)
+        assert not result.found_at.any()
 
     def test_rejects_fixed_object_and_random_policy(self):
         with pytest.raises(ConfigError, match="^object"):

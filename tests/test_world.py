@@ -16,7 +16,6 @@ from beliefshare.world import (
     env_observe,
     env_step,
     format_graph_text,
-    load_graph_fixture,
     parse_graph_text,
 )
 
@@ -57,9 +56,6 @@ class TestWorldGraph:
         for bad in ("x: 0", "0: 1,y", "-1: 0"):
             with pytest.raises(ConfigError, match="line 2"):
                 parse_graph_text(f"0: 1\n{bad}\n")
-
-    def test_shipped_fixture_matches_grid(self):
-        assert np.array_equal(load_graph_fixture().adjacency, default_graph().adjacency)
 
     def test_disconnected_warns(self):
         with pytest.warns(UserWarning):
