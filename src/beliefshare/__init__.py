@@ -30,10 +30,9 @@ from .inference import (
     variational_free_energy,
     vmp_update,
 )
-from .model import AgentModel, BeliefState, default_preferences, make_agent_model, perceive
+from .model import AgentModel, BeliefState, make_agent_model, perceive
 from .planning import (
     EFEBreakdown,
-    PreferenceModel,
     enumerate_policies,
     expected_free_energy,
     rollout_predict,

@@ -311,7 +311,7 @@ def cmd_scenario(name: str, mode: str, out_dir: str, seed: int = 42) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         paths = write_trace_files(result.trace, out_dir)
-        _write_manifest(out_dir, result.config_hash, seed, paths, serialize_config(config))
+        _write_manifest(out_dir, config.config_hash(), seed, paths, serialize_config(config))
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

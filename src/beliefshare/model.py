@@ -6,7 +6,7 @@ on the agent's own evidence; the resulting message bundle is what the
 communication layer snapshots and what the final integration consumes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,19 +25,21 @@ from .inference import (
     softmax,
     transition_prediction,
 )
-from .planning import PreferenceModel
+
+# Preference for the visible outcome, in nats: seeing the object is worth 2.
+VISIBLE_BONUS = 2.0
 
 
 @dataclass
 class AgentModel:
-    """Tensors, priors and preferences of one agent on a given graph."""
+    """Tensors, priors and visible bonus of one agent on a given graph."""
 
     graph: world.WorldGraph
     A_location: LikelihoodTensor
     A_visibility: LikelihoodTensor
     location_prior: CategoricalBelief
     object_prior: CategoricalBelief
-    preferences: PreferenceModel = field(default_factory=lambda: PreferenceModel({}))
+    visible_bonus: float
     observe_location: bool = True
     observe_visibility: bool = True
 
@@ -60,7 +62,7 @@ def make_agent_model(
     graph: world.WorldGraph,
     start_node: int,
     object_prior: np.ndarray,
-    preferences: PreferenceModel | None = None,
+    visible_bonus: float = VISIBLE_BONUS,
     observe_location: bool = True,
     observe_visibility: bool = True,
 ) -> AgentModel:
@@ -68,29 +70,15 @@ def make_agent_model(
     n = graph.n_nodes
     loc_prior = np.zeros(n)
     loc_prior[start_node] = 1.0
-    if preferences is None:
-        preferences = default_preferences(n)
     return AgentModel(
         graph=graph,
         A_location=world.build_A1(n),
         A_visibility=world.build_A2(n),
         location_prior=CategoricalBelief(world.LOCATION, loc_prior),
         object_prior=CategoricalBelief(world.OBJECT, np.asarray(object_prior, dtype=float)),
-        preferences=preferences,
+        visible_bonus=visible_bonus,
         observe_location=observe_location,
         observe_visibility=observe_visibility,
-    )
-
-
-def default_preferences(n_nodes: int, visible_bonus: float = 2.0) -> PreferenceModel:
-    """Log-preference vectors per modality: seeing the object is worth 2 nats."""
-    vis = np.zeros(2)
-    vis[world.VISIBLE] = visible_bonus
-    return PreferenceModel(
-        {
-            world.VISIBILITY_MODALITY: vis,
-            world.LOCATION_MODALITY: np.zeros(n_nodes),
-        }
     )
 
 

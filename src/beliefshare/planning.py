@@ -1,9 +1,9 @@
 """Policy enumeration, expected free energy, and stochastic action choice.
 
 A policy is a fixed-length tuple of move targets. Its score combines the
-information expected from predicted observations with how much those
-observations are preferred; actions are sampled from a softmax over the
-negated scores and re-planned every timestep.
+information expected from predicted observations with a bonus in nats for
+the predicted chance of seeing the object; actions are sampled from a
+softmax over the negated scores and re-planned every timestep.
 """
 
 from dataclasses import dataclass
@@ -19,30 +19,6 @@ POLICY_CAP = 10_000
 
 # Bytes of one (beliefs, policies, nodes) float array in a stacked scores call.
 SCORE_BYTES = 1 << 20
-
-
-@dataclass
-class PreferenceModel:
-    """Per-modality log-preference vectors over outcomes, in nats."""
-
-    log_preferences: dict
-
-    def __post_init__(self):
-        clean = {}
-        for modality, vec in self.log_preferences.items():
-            vec = np.asarray(vec, dtype=float)
-            if not np.all(np.isfinite(vec)):
-                raise ShapeError(f"preference vector for {modality!r} has non-finite entries")
-            clean[modality] = vec
-        self.log_preferences = clean
-
-    def vector(self, modality: str, n_outcomes: int) -> np.ndarray:
-        vec = self.log_preferences.get(modality)
-        if vec is None:
-            return np.zeros(n_outcomes)
-        if vec.size != n_outcomes:
-            raise ShapeError(f"preference vector for {modality!r} has wrong length")
-        return vec
 
 
 @dataclass
@@ -94,16 +70,15 @@ def rollout_predict(model, beliefs, policy) -> tuple:
     return states, observations
 
 
-def expected_free_energy(model, beliefs, policy, prefs: PreferenceModel | None = None) -> EFEBreakdown:
+def expected_free_energy(model, beliefs, policy) -> EFEBreakdown:
     """Score one policy by explicit enumeration over predicted outcomes.
 
     Information gain is the expected KL from predicted-state prior to the
     posterior given each possible outcome (joint over both factors for the
-    visibility modality); utility is the preference-weighted outcome
-    probability. The shared modality never enters the rollout.
+    visibility modality); utility is the model's visible bonus times the
+    predicted probability of a visible outcome. The shared modality never
+    enters the rollout.
     """
-    if prefs is None:
-        prefs = model.preferences
     states, observations = rollout_predict(model, beliefs, policy)
     info_gain = 0.0
     utility = 0.0
@@ -118,9 +93,7 @@ def expected_free_energy(model, beliefs, policy, prefs: PreferenceModel | None =
                     continue
                 joint_post = normalize(model.A_visibility.table[v] * joint_prior)
                 info_gain += q_o[v] * kl_divergence(joint_post.ravel(), joint_prior.ravel())
-            utility += float(
-                q_o @ prefs.vector(world.VISIBILITY_MODALITY, model.A_visibility.n_outcomes)
-            )
+            utility += model.visible_bonus * q_o[world.VISIBLE]
         if world.LOCATION_MODALITY in obs_dists:
             q_o = obs_dists[world.LOCATION_MODALITY]
             for o in range(model.A_location.n_outcomes):
@@ -128,14 +101,11 @@ def expected_free_energy(model, beliefs, policy, prefs: PreferenceModel | None =
                     continue
                 post = normalize(model.A_location.table[o] * loc)
                 info_gain += q_o[o] * kl_divergence(post, loc)
-            utility += float(
-                q_o @ prefs.vector(world.LOCATION_MODALITY, model.A_location.n_outcomes)
-            )
     return EFEBreakdown(tuple(policy), info_gain, utility)
 
 
 class PlannerContext:
-    """Precomputed arrays for one agent model's graph, observations and preferences.
+    """Precomputed arrays for one agent model's graph, observations and visible bonus.
 
     Scores the full lexicographic policy product without per-call tensor
     rebuilds; ``scores()`` agrees with ``expected_free_energy`` policy by
@@ -159,9 +129,7 @@ class PlannerContext:
         self.cum_A1 = np.cumsum(A1, axis=0)
         self.w_vis = (A2 * self.log_A2).sum(axis=0)
         self.w_loc = (A1 * self.log_A1).sum(axis=0)
-        self.c_vis = model.preferences.vector(world.VISIBILITY_MODALITY, A2.shape[0])
-        self.c_loc = model.preferences.vector(world.LOCATION_MODALITY, A1.shape[0])
-        self.has_c_loc = bool(np.any(self.c_loc))
+        self.visible_bonus = model.visible_bonus
         self.observe_visibility = model.observe_visibility
         self.observe_location = model.observe_location
 
@@ -186,13 +154,11 @@ class PlannerContext:
             u += (self.w_vis @ objs)[..., 0]
             q_v = locs @ (self.A2 @ objs[:, None])[..., 0].swapaxes(1, 2)
             score += (q_v * floored_log(q_v)).sum(axis=-1)
-            score -= q_v @ self.c_vis
+            score -= self.visible_bonus * q_v[..., world.VISIBLE]
         if self.observe_location:
             u += self.w_loc
             q_l = locs @ self.A1T
             score += (q_l * floored_log(q_l)).sum(axis=-1)
-            if self.has_c_loc:
-                score -= q_l @ self.c_loc
         score -= (locs @ u[..., None])[..., 0]
         return score
 

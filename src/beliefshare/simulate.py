@@ -29,7 +29,7 @@ from . import planning, world
 from .comms import CommMode
 from .errors import ConfigError, SweepTooLarge
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
-from .model import default_preferences, make_agent_model
+from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
 
@@ -72,7 +72,7 @@ class ScenarioConfig:
     action_policy: str = PLANNED
     scripted_actions: list | None = None
     scripted_visibility: list | None = None
-    visible_bonus: float = 2.0
+    visible_bonus: float = VISIBLE_BONUS
     graph_ref: str = "default"
 
     def __post_init__(self):
@@ -208,12 +208,10 @@ class TrialResult:
     found: bool
     steps_to_find: int | None
     trace: BeliefTrace
-    config_hash: str
-    seed: int
 
 
 def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
-    """The planning and perception context of a config's graph, observations and preferences.
+    """The planning and perception context of a config's graph, observations and visible bonus.
 
     Every agent shares it: agents differ only in start node and object
     prior, and the context reads neither. A config whose trials plan must
@@ -226,7 +224,7 @@ def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
         config.graph,
         spec.start_node,
         spec.object_prior,
-        default_preferences(config.graph.n_nodes, config.visible_bonus),
+        config.visible_bonus,
         config.observe_location,
         config.observe_visibility,
     )
@@ -388,7 +386,7 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
     found_at = _step_trials(config, planner_context(config), starts, objects, [config.seed], trace)
     steps_to_find = int(found_at[0]) or None
     trace = trace.trial(0, steps_to_find or config.steps)
-    return TrialResult(steps_to_find is not None, steps_to_find, trace, config.config_hash(), config.seed)
+    return TrialResult(steps_to_find is not None, steps_to_find, trace)
 
 
 def run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> np.ndarray:
@@ -440,25 +438,19 @@ def peaked_prior(n_nodes: int, node: int, mass: float = 0.95) -> np.ndarray:
 
 
 def echo_chamber_config(
-    mode: CommMode,
-    steps: int = 10,
-    bump_nodes=(11, 13),
-    bump_ratio: float = 2.0,
-    start_nodes=(5, 9),
-    seed: int = 42,
-    graph: world.WorldGraph | None = None,
+    mode: CommMode, steps: int = 10, bump_ratio: float = 2.0, seed: int = 42
 ) -> ScenarioConfig:
-    """Two frozen agents, visibility masked, matching priors lifted at two nodes.
+    """Two frozen agents on nodes 5 and 9 of the shipped grid, visibility masked.
 
-    With nothing to observe, any belief motion can only come from the
-    communication channel.
+    Both hold the same prior, lifted to ``bump_ratio`` times base mass at
+    nodes 11 and 13. With nothing to observe, any belief motion can only
+    come from the communication channel.
     """
-    if graph is None:
-        graph = world.default_graph()
-    prior = bumped_prior(graph.n_nodes, bump_nodes, bump_ratio)
+    graph = world.default_graph()
+    prior = bumped_prior(graph.n_nodes, (11, 13), bump_ratio)
     return ScenarioConfig(
         graph=graph,
-        agents=[AgentSpec(s, prior.copy()) for s in start_nodes],
+        agents=[AgentSpec(s, prior.copy()) for s in (5, 9)],
         object_location=None,
         comm_mode=mode,
         steps=steps,
@@ -469,41 +461,32 @@ def echo_chamber_config(
 
 
 def self_doubt_config(
-    mode: CommMode,
-    steps: int = 15,
-    peak_node: int = 1,
-    peak_mass: float = 0.95,
-    n_agents: int = 4,
-    start_nodes=(0, 4, 10, 14),
-    scripted: bool = False,
-    seed: int = 42,
-    graph: world.WorldGraph | None = None,
+    mode: CommMode, steps: int = 15, n_agents: int = 4, scripted: bool = False, seed: int = 42
 ) -> ScenarioConfig:
-    """Four agents sharing a strong wrong prior about one node; no object there.
+    """Agents on the shipped grid sharing a 0.95 prior on node 1; no object there.
 
-    The scripted variant pins every agent to the believed node drawing
-    "not visible" forever, isolating the channel's response to clean
+    The agents start on nodes 0, 4, 10 and 14, the first ``n_agents`` of
+    them. The scripted variant pins every agent to node 1 drawing "not
+    visible" forever, isolating the channel's response to clean
     contradicting evidence.
     """
-    if graph is None:
-        graph = world.default_graph()
-    prior = peaked_prior(graph.n_nodes, peak_node, peak_mass)
+    graph = world.default_graph()
+    prior = peaked_prior(graph.n_nodes, 1, 0.95)
     if scripted:
-        starts = [peak_node] * n_agents
         return ScenarioConfig(
             graph=graph,
-            agents=[AgentSpec(s, prior.copy()) for s in starts],
+            agents=[AgentSpec(1, prior.copy()) for _ in range(n_agents)],
             object_location=None,
             comm_mode=mode,
             steps=steps,
             observe_location=False,
-            scripted_actions=[[peak_node] * steps] * n_agents,
+            scripted_actions=[[1] * steps] * n_agents,
             scripted_visibility=[[world.NOT_VISIBLE] * steps] * n_agents,
             seed=seed,
         )
     return ScenarioConfig(
         graph=graph,
-        agents=[AgentSpec(s, prior.copy()) for s in start_nodes[:n_agents]],
+        agents=[AgentSpec(s, prior.copy()) for s in (0, 4, 10, 14)[:n_agents]],
         object_location=None,
         comm_mode=mode,
         steps=steps,
@@ -570,6 +553,8 @@ def run_sweep(
     """
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     if len(set(modes)) < len(modes):
         raise ConfigError(f"sweep_modes: each mode may be listed once, got {','.join(modes)}")
     if template.object_location is not None:

@@ -356,6 +356,7 @@ class TestSweepInputs:
             ("agent = 0 | 0.5,x,0.5\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,0.5\n", "agent (line 8): prior has 2 entries, world has 3"),
             ("agent = x | uniform\n", "agent (line 8): expected"),
+            ("agent = 0 uniform\n", "agent (line 8): expected"),
             ("agent = 7 | uniform\n", "agents[1].start_node: 7 out of range"),
             ("steps 4\n", "line 8: expected 'key = value'"),
             ("temperature = abc\n", "temperature (line 8): expected a number"),
@@ -411,6 +412,28 @@ class TestSweepInputs:
         code, err, _ = self.sweep(tmp_path, capsys, args=("--seed", "-1"))
         assert code == EXIT_USAGE
         assert len(err) == 1 and "seed: must be >= 0" in err[0]
+
+    @pytest.mark.parametrize("jobs", ["-5", "0"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        code, err, out = self.sweep(tmp_path, capsys, args=("--jobs", jobs))
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and f"config error: jobs: must be >= 1, got {jobs}" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fixture, words", [("", "graph fixture is empty"), ("0: 5\n", "neighbour 5 of node 0 out of range")]
+    )
+    def test_invalid_graph_fixture(self, tmp_path, capsys, fixture, words):
+        (tmp_path / "bad.txt").write_text(fixture)
+        code, err, _ = self.sweep(tmp_path, capsys, "graph = bad.txt\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0] == f"error: {words}"
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("a file, not a directory")
+        code, err, _ = self.sweep(tmp_path, capsys, name="taken")
+        assert code == EXIT_IO
+        assert len(err) == 1 and err[0].startswith("cannot write outputs:")
 
 
 class TestMain:

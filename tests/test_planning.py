@@ -1,5 +1,7 @@
 """Policy scores: enumeration, rollouts, expected free energy, action choice."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,11 @@ from beliefshare.inference import (
     LikelihoodTensor,
     kl_divergence,
     normalize,
-    softmax,
 )
-from beliefshare.model import BeliefState, default_preferences, initial_state, make_agent_model
+from beliefshare.model import BeliefState, initial_state, make_agent_model
 from beliefshare.planning import (
     SCORE_BYTES,
     PlannerContext,
-    PreferenceModel,
     enumerate_policies,
     expected_free_energy,
     rollout_predict,
@@ -33,11 +33,8 @@ def two_node_world():
     return model, initial_state(model)
 
 
-def grid_model(start=0, obj_prior=None, **kwargs):
-    graph = world.default_graph()
-    if obj_prior is None:
-        obj_prior = np.ones(15) / 15
-    model = make_agent_model(graph, start_node=start, object_prior=obj_prior, **kwargs)
+def grid_model():
+    model = make_agent_model(world.default_graph(), start_node=0, object_prior=np.ones(15) / 15)
     return model, initial_state(model)
 
 
@@ -89,7 +86,6 @@ def brute_force_breakdown(model, state, policy):
     obj = state.object.probs.copy()
     info_gain = 0.0
     utility = 0.0
-    prefs = model.preferences
     B_object = np.eye(obj.size)  # the object never moves
     for action in policy:
         loc = model.B_location.table[:, :, action] @ loc
@@ -103,14 +99,13 @@ def brute_force_breakdown(model, state, policy):
                     post = A2[v] * joint / q_o
                     info_gain += q_o * kl_divergence(post.ravel(), joint.ravel())
             q_vis = np.array([(A2[v] * joint).sum() for v in range(2)])
-            utility += float(q_vis @ prefs.vector(world.VISIBILITY_MODALITY, 2))
+            utility += model.visible_bonus * q_vis[world.VISIBLE]
         if model.observe_location:
             A1 = model.A_location.table
             for o in range(A1.shape[0]):
                 q_o = float(A1[o] @ loc)
                 if q_o > 0:
                     info_gain += q_o * kl_divergence(A1[o] * loc / q_o, loc)
-            utility += float((A1 @ loc) @ prefs.vector(world.LOCATION_MODALITY, A1.shape[0]))
     return info_gain, utility
 
 
@@ -129,9 +124,9 @@ class TestExpectedFreeEnergy:
         assert e.info_gain == pytest.approx(0.0, abs=1e-10)
 
     def test_flat_preferences_zero_utility(self):
-        model, state = two_node_world()
-        prefs = PreferenceModel({})
-        e = expected_free_energy(model, state, (0, 1), prefs)
+        graph = world.WorldGraph.from_edges(2, [(0, 1)])
+        model = make_agent_model(graph, 0, np.array([0.5, 0.5]), visible_bonus=0.0)
+        e = expected_free_energy(model, initial_state(model), (0, 1))
         assert e.utility == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_stay_hand_value(self):
@@ -184,18 +179,6 @@ class TestExpectedFreeEnergy:
         g_move = expected_free_energy(model, state, (1,)).G
         assert abs(g_stay - g_move) < 1e-10
 
-    def test_preference_shift_leaves_selection_unchanged(self):
-        base = default_preferences(15)
-        shifted = PreferenceModel(
-            {k: v + 3.7 for k, v in base.log_preferences.items()}
-        )
-        model, state = grid_model(start=4, preferences=base)
-        shifted_model, _ = grid_model(start=4, preferences=shifted)
-        loc, obj = state.location.probs, state.object.probs
-        G0 = PlannerContext(model).scores(loc, obj, 2)
-        G1 = PlannerContext(shifted_model).scores(loc, obj, 2)
-        assert np.allclose(softmax(-G0), softmax(-G1), atol=1e-12)
-
 
 def random_connected_graph(rng, n):
     """A random spanning tree on n nodes plus up to n extra edges."""
@@ -244,9 +227,9 @@ class TestBatchAgreement:
             (path, (1, 2, 3)),
             (random_connected_graph(np.random.default_rng(23), 6), (1, 2, 3)),
         ]
-        for graph, horizons in cases:
+        for (graph, horizons), bonus in product(cases, (0.0, 2.0, -1.5)):
             n = graph.n_nodes
-            model = make_agent_model(graph, start_node=min(2, n - 1), object_prior=np.ones(n) / n)
+            model = make_agent_model(graph, min(2, n - 1), np.ones(n) / n, visible_bonus=bonus)
             planner = PlannerContext(model)
             for horizon in horizons:
                 state = BeliefState(
@@ -280,18 +263,6 @@ class TestStackedScores:
         # one 100-node belief alone (8 MB) exceeds the budget: still one row
         assert 8 * 100**3 > SCORE_BYTES
         assert rows_per_call(100, 2) == 1
-
-
-class TestPreferenceModel:
-    def test_rejects_non_finite(self):
-        from beliefshare.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            PreferenceModel({"visibility": np.array([np.inf, 0.0])})
-
-    def test_unknown_modality_defaults_to_flat(self):
-        prefs = PreferenceModel({})
-        assert np.array_equal(prefs.vector("visibility", 2), np.zeros(2))
 
 
 class TestSelectAction:

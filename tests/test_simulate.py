@@ -13,7 +13,6 @@ from beliefshare.comms import CommMode, broadcast_round, integrated_object_belie
 from beliefshare.errors import ConfigError, SweepTooLarge
 from beliefshare.model import (
     BeliefState,
-    default_preferences,
     initial_state,
     make_agent_model,
     perceive,
@@ -56,10 +55,9 @@ def reference_trial(config):
     Must consume the generator in exactly the same order as run_trial.
     """
     n = config.graph.n_nodes
-    prefs = default_preferences(n, config.visible_bonus)
     models = [
         make_agent_model(
-            config.graph, s.start_node, s.object_prior, prefs,
+            config.graph, s.start_node, s.object_prior, config.visible_bonus,
             config.observe_location, config.observe_visibility,
         )
         for s in config.agents
@@ -215,7 +213,6 @@ class TestDeterminism:
         assert np.array_equal(a.trace.location_beliefs, b.trace.location_beliefs)
         assert np.array_equal(a.trace.actions, b.trace.actions)
         assert np.array_equal(a.trace.observations, b.trace.observations)
-        assert a.config_hash == b.config_hash
 
     def test_trace_rows_normalized(self):
         config = sweep_style_config((2, 8), 4, CommMode.POSTERIOR_SHARING, 3, steps=10)
@@ -479,6 +476,10 @@ class TestSweep:
     def test_bad_repeats(self):
         with pytest.raises(ConfigError):
             run_sweep(sweep_template(self.SMALL), repeats=0)
+
+    def test_bad_jobs(self):
+        with pytest.raises(ConfigError, match="^jobs"):
+            run_sweep(sweep_template(self.SMALL), repeats=1, jobs=0)
 
 
 class TestTrialBatches:
