@@ -17,8 +17,9 @@ from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
 
-# Bytes of one (beliefs, policies, nodes) float array in a stacked scores call.
-SCORE_BYTES = 1 << 20
+# Bytes of one (beliefs, policies) float array in a stacked scores call:
+# 36 beliefs, 18 two-agent trials, on the 15-node grid at horizon 2.
+SCORE_BYTES = 1 << 16
 
 
 @dataclass
@@ -119,7 +120,6 @@ class PlannerContext:
         A2 = model.A_visibility.table
         A1 = model.A_location.table
         self.n_actions = model.n_nodes
-        self.A1T = np.ascontiguousarray(A1.T)
         self.A2 = A2
         self.adj = model.graph.adjacency.astype(float)
         self.stay = 1.0 - self.adj
@@ -129,6 +129,10 @@ class PlannerContext:
         self.cum_A1 = np.cumsum(A1, axis=0)
         self.w_vis = (A2 * self.log_A2).sum(axis=0)
         self.w_loc = (A1 * self.log_A1).sum(axis=0)
+        self.off = A1[0, 1] if model.n_nodes > 1 else 0.0
+        self.beta = A1[0, 0] - self.off
+        # entropy terms of the nodes a move empties: all but its target
+        self.emptied = (self.adj.sum(axis=1) - 1.0) * self._loc_entropy(0.0)
         self.visible_bonus = model.visible_bonus
         self.observe_visibility = model.observe_visibility
         self.observe_location = model.observe_location
@@ -145,45 +149,58 @@ class PlannerContext:
         out[..., self.nodes, self.nodes] = locs @ self.adj.T
         return out
 
-    def _step_scores(self, locs: np.ndarray, objs: np.ndarray) -> np.ndarray:
-        """-(info gain + utility) of one predicted step: (R, K, n) location beliefs, (R, n, 1) objects."""
-        # expected-log terms of both modalities collapse into one vector per belief
-        u = np.zeros(objs.shape[:2])
-        score = np.zeros(locs.shape[:2])
+    def _loc_entropy(self, x):
+        """y log y of the location outcome whose node holds belief x."""
+        y = self.off + self.beta * x
+        return y * floored_log(y)
+
+    def _move_scores(self, locs: np.ndarray, objs: np.ndarray) -> np.ndarray:
+        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n, 1) objects.
+
+        Returns (R, K, n_actions) from per-node sums, without building the
+        moved beliefs. A move to a keeps the nodes not adjacent to a and
+        puts the ``mass`` of the rest on a, so a linear term L'.w is
+        (L * w) @ stay.T + mass * w. The location entropy sums over nodes
+        the same way; this relies on the structure of ``world.build_A1``,
+        which makes an outcome's probability ``off + beta * x``, x the
+        belief on its node.
+        """
+        mass = locs @ self.adj.T
+        score = np.zeros(mass.shape)
+        w = self.w_loc if self.observe_location else 0.0
         if self.observe_visibility:
-            u += (self.w_vis @ objs)[..., 0]
-            q_v = locs @ (self.A2 @ objs[:, None])[..., 0].swapaxes(1, 2)
-            score += (q_v * floored_log(q_v)).sum(axis=-1)
-            score -= self.visible_bonus * q_v[..., world.VISIBLE]
+            c = (self.A2[world.VISIBLE] @ objs).swapaxes(1, 2)
+            q = (locs * c) @ self.stay.T + mass * c
+            score += q * floored_log(q) + (1.0 - q) * floored_log(1.0 - q)
+            score -= self.visible_bonus * q
+            w = w + (self.w_vis @ objs).swapaxes(1, 2)
         if self.observe_location:
-            u += self.w_loc
-            q_l = locs @ self.A1T
-            score += (q_l * floored_log(q_l)).sum(axis=-1)
-        score -= (locs @ u[..., None])[..., 0]
-        return score
+            score += self._loc_entropy(locs) @ self.stay.T + self.emptied
+            score += self._loc_entropy(mass)
+        return score - ((locs * w) @ self.stay.T + mass * w)
 
     def scores(self, loc: np.ndarray, obj: np.ndarray, horizon: int) -> np.ndarray:
         """G over all n_actions**horizon policies in lexicographic order.
 
         One belief pair gives G of shape (P,); stacks of R location and
-        object beliefs give (R, P). Each row goes through the same matrix
-        products a single belief does, so a row does not depend on the
-        stack around it. The object never moves, so every step scores
-        against the same object belief.
+        object beliefs give (R, P). Only the steps before the last build
+        moved beliefs. A row goes through the same matrix products as a
+        single belief, so it does not depend on the stack around it. The
+        object never moves: every step scores against the same belief.
         """
         locs = np.atleast_2d(loc)[:, None]
         objs = np.atleast_2d(obj)[:, :, None]
-        G = np.zeros(locs.shape[:2])
-        for _ in range(horizon):
-            # grow the batch: every current trajectory extended by every action
+        G = self._move_scores(locs, objs).reshape(len(locs), -1)
+        for _ in range(horizon - 1):
+            # every current trajectory extended by every action
             locs = self.moves(locs).reshape(len(locs), -1, locs.shape[-1])
-            G = np.repeat(G, self.n_actions, axis=1) + self._step_scores(locs, objs)
+            G = (G[..., None] + self._move_scores(locs, objs)).reshape(len(locs), -1)
         return G if np.ndim(loc) > 1 else G[0]
 
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:
-    """Beliefs per stacked ``scores`` call: each (beliefs, P, n) array within SCORE_BYTES; at least 1."""
-    return max(1, SCORE_BYTES // (8 * n_nodes ** (horizon + 1)))
+    """Beliefs per stacked ``scores`` call: each (beliefs, P) float array within SCORE_BYTES; at least 1."""
+    return max(1, SCORE_BYTES // (8 * n_nodes**horizon))
 
 
 def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:

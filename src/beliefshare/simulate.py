@@ -289,7 +289,7 @@ def _choose_actions(config, planner, t, positions, locs, objs, rngs) -> np.ndarr
     if config.movement == FROZEN:
         return positions
     if config.action_policy == RANDOM:
-        return np.array([[rng.integers(n) for _ in row] for rng, row in zip(rngs, positions)])
+        return np.array([rng.integers(n, size=positions.shape[1]) for rng in rngs])
     locs, objs = locs.reshape(-1, n), objs.reshape(-1, n)
     rows = planning.rows_per_call(n, config.horizon)
     G = np.concatenate([
@@ -466,10 +466,13 @@ def self_doubt_config(
     """Agents on the shipped grid sharing a 0.95 prior on node 1; no object there.
 
     The agents start on nodes 0, 4, 10 and 14, the first ``n_agents`` of
-    them. The scripted variant pins every agent to node 1 drawing "not
-    visible" forever, isolating the channel's response to clean
-    contradicting evidence.
+    them, so at most four. The scripted variant pins every agent to node 1
+    drawing "not visible" forever, isolating the channel's response to
+    clean contradicting evidence.
     """
+    starts = (0, 4, 10, 14)
+    if not scripted and n_agents > len(starts):
+        raise ConfigError(f"n_agents: at most {len(starts)} unscripted agents, got {n_agents}")
     graph = world.default_graph()
     prior = peaked_prior(graph.n_nodes, 1, 0.95)
     if scripted:
@@ -486,7 +489,7 @@ def self_doubt_config(
         )
     return ScenarioConfig(
         graph=graph,
-        agents=[AgentSpec(s, prior.copy()) for s in (0, 4, 10, 14)[:n_agents]],
+        agents=[AgentSpec(s, prior.copy()) for s in starts[:n_agents]],
         object_location=None,
         comm_mode=mode,
         steps=steps,

@@ -226,10 +226,15 @@ class TestBatchAgreement:
             (world.default_graph(), (1, 2)),
             (path, (1, 2, 3)),
             (random_connected_graph(np.random.default_rng(23), 6), (1, 2, 3)),
+            (world.WorldGraph.from_edges(1, []), (1, 2)),  # no off-diagonal A1 entry
         ]
-        for (graph, horizons), bonus in product(cases, (0.0, 2.0, -1.5)):
+        flags = [(True, True), (False, True), (True, False)]  # (observe_location, observe_visibility)
+        for (graph, horizons), bonus, (loc_on, vis_on) in product(cases, (0.0, 2.0, -1.5), flags):
             n = graph.n_nodes
-            model = make_agent_model(graph, min(2, n - 1), np.ones(n) / n, visible_bonus=bonus)
+            model = make_agent_model(
+                graph, min(2, n - 1), np.ones(n) / n, bonus, observe_location=loc_on,
+                observe_visibility=vis_on,
+            )
             planner = PlannerContext(model)
             for horizon in horizons:
                 state = BeliefState(
@@ -256,12 +261,13 @@ class TestStackedScores:
         single = np.array([planner.scores(loc, obj, horizon) for loc, obj in zip(locs, objs)])
         assert stacked.shape == (rows, n**horizon)
         assert np.abs(stacked - single).max() <= 1e-12
+        assert np.array_equal(stacked, single)
 
     def test_rows_per_call(self):
-        # one 15-node, horizon-2 belief holds 225 x 15 floats, 27,000 bytes
-        assert rows_per_call(15, 2) == SCORE_BYTES // 27_000
-        # one 100-node belief alone (8 MB) exceeds the budget: still one row
-        assert 8 * 100**3 > SCORE_BYTES
+        # one 15-node, horizon-2 belief scores 225 policies, 1,800 bytes
+        assert rows_per_call(15, 2) == SCORE_BYTES // 1_800
+        # one 100-node belief alone (80 kB) exceeds the budget: still one row
+        assert 8 * 100**2 > SCORE_BYTES
         assert rows_per_call(100, 2) == 1
 
 

@@ -140,7 +140,7 @@ def assert_matches_reference(config):
 
 @st.composite
 def random_graph_configs(draw):
-    """Connected graphs of 2-8 nodes, 1-3 agents with their own priors, any channel."""
+    """Connected graphs of 2-8 nodes, 1-3 agents with their own priors, any channel and action policy."""
     n = draw(st.integers(2, 8))
     # a random spanning tree keeps the graph connected; extra edges vary its shape
     edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
@@ -159,6 +159,7 @@ def random_graph_configs(draw):
         steps=draw(st.integers(1, 6)),
         temperature=4.0,
         seed=draw(st.integers(0, 2**32 - 1)),
+        action_policy=draw(st.sampled_from(["plan", "random"])),
     )
 
 
@@ -398,6 +399,13 @@ class TestSelfDoubtScenario:
         post = trace.object_beliefs[0, 0]
         assert post[1] / post[0] == pytest.approx(prior_odds / 4, rel=1e-9)
 
+    def test_agent_count(self):
+        # the unscripted variant has four start nodes; the scripted one stacks any count on node 1
+        assert self_doubt_config(CommMode.NONE, n_agents=4).n_agents == 4
+        assert self_doubt_config(CommMode.NONE, scripted=True, n_agents=6).n_agents == 6
+        with pytest.raises(ConfigError, match="^n_agents"):
+            self_doubt_config(CommMode.NONE, n_agents=5)
+
 
 def sweep_template(graph, n_agents=1, steps=4, seed=5, **kwargs):
     uniform = np.ones(graph.n_nodes) / graph.n_nodes
@@ -492,7 +500,7 @@ class TestTrialBatches:
     def test_batches_match_single_trials(self, monkeypatch, n_agents, flags):
         # room for 7 beliefs per scoring call: batches of 7, 3 and 2 trials
         # for 1, 2 and 3 agents, none of which divides the 11 trials
-        monkeypatch.setattr(planning, "SCORE_BYTES", 7 * 8 * 15**3)
+        monkeypatch.setattr(planning, "SCORE_BYTES", 7 * 8 * 15**2)
         template = sweep_template(GRAPH, n_agents, steps=8, temperature=4.0, **flags)
         rng = np.random.default_rng(n_agents)
         starts = rng.integers(15, size=(11, n_agents))
@@ -518,7 +526,7 @@ class TestTrialBatches:
 
     def test_scoring_splits_agents_over_calls(self, monkeypatch):
         # two beliefs per scoring call: one three-agent trial needs two calls
-        monkeypatch.setattr(planning, "SCORE_BYTES", 2 * 8 * 15**3)
+        monkeypatch.setattr(planning, "SCORE_BYTES", 2 * 8 * 15**2)
         template = sweep_template(GRAPH, 3, steps=6, temperature=4.0)
         starts, objects, seeds = [[0, 7, 14], [3, 3, 9]], [12, 5], [8, 9]
         batched = run_trials(template, "likelihood_sharing", starts, objects, seeds)
