@@ -18,12 +18,10 @@ from itertools import permutations
 
 import numpy as np
 
-from . import simulate, world
+from . import __version__, simulate, world
 from .comms import CommMode
-from .errors import BeliefShareError, ConfigError, GraphTooLarge, PolicySpaceTooLarge, SweepTooLarge
+from .errors import BeliefShareError, CapExceeded, ConfigError
 from .simulate import AgentSpec, ScenarioConfig, SweepResult
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,11 +114,6 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
     return vec
 
 
-def _prior_spec_str(prior: np.ndarray) -> str:
-    # repr round-trips exactly; the 9-digit dialect is for emitted CSVs only
-    return ",".join(repr(float(p)) for p in prior)
-
-
 def parse_config_text(text: str, base_dir: str = ".") -> tuple:
     """Parse a scenario config; returns (ScenarioConfig, sweep_modes)."""
     settings = {}
@@ -163,34 +156,33 @@ def parse_config_text(text: str, base_dir: str = ".") -> tuple:
     return ScenarioConfig(graph=graph, agents=agents, **fields), sweep_modes
 
 
-def parse_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario config file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    config, _ = parse_config_text(text, base_dir=os.path.dirname(path) or ".")
-    return config
+def _format(value) -> str:
+    """One setting as a config file spells it."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if value is None:
+        return "absent"
+    if isinstance(value, CommMode):
+        return value.value
+    if isinstance(value, float):
+        # repr round-trips exactly; the 9-digit dialect is for emitted CSVs only
+        return repr(value)
+    if isinstance(value, AgentSpec):
+        return f"{value.start_node} | {','.join(_format(float(p)) for p in value.object_prior)}"
+    return str(value)
 
 
 def serialize_config(config: ScenarioConfig, sweep_modes=None) -> str:
-    """Emit a config in the same flat format parse_config reads."""
-    lines = [
-        f"graph = {config.graph_ref}",
-        f"comm_mode = {config.comm_mode.value}",
-        f"object = {'absent' if config.object_location is None else config.object_location}",
-        f"horizon = {config.horizon}",
-        f"steps = {config.steps}",
-        f"temperature = {repr(config.temperature)}",
-        f"seed = {config.seed}",
-        f"observe_location = {'on' if config.observe_location else 'off'}",
-        f"observe_visibility = {'on' if config.observe_visibility else 'off'}",
-        f"movement = {config.movement}",
-        f"action_policy = {config.action_policy}",
-        f"visible_bonus = {repr(config.visible_bonus)}",
-    ]
-    if sweep_modes is not None:
-        lines.append(f"sweep_modes = {','.join(sweep_modes)}")
-    for spec in config.agents:
-        lines.append(f"agent = {spec.start_node} | {_prior_spec_str(spec.object_prior)}")
+    """Emit a config in the flat format parse_config_text reads: its settings in CONFIG_KEYS order."""
+    lines = []
+    for key in CONFIG_KEYS:
+        if key == "agent":
+            values = config.agents
+        elif key == "sweep_modes":
+            values = [] if sweep_modes is None else [",".join(sweep_modes)]
+        else:
+            values = [getattr(config, _FIELDS.get(key, key))]
+        lines += [f"{key} = {_format(value)}" for value in values]
     return "\n".join(lines) + "\n"
 
 
@@ -338,7 +330,7 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphTooLarge, SweepTooLarge, PolicySpaceTooLarge) as exc:
+    except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
 

@@ -29,17 +29,9 @@ class FactorMismatch(BeliefShareError):
     """Messages or beliefs refer to different latent factors."""
 
 
-class PolicySpaceTooLarge(BeliefShareError):
-    """Exhaustive policy enumeration would exceed the configured cap."""
-
-
 class ConfigError(BeliefShareError):
     """A scenario configuration is invalid; the message names the offending field."""
 
 
-class SweepTooLarge(BeliefShareError):
-    """A sweep would exceed the configured trial-count cap."""
-
-
-class GraphTooLarge(BeliefShareError):
-    """A graph fixture describes more nodes than the node cap."""
+class CapExceeded(BeliefShareError):
+    """A request is over a resource cap: graph nodes, trial steps, sweep trials or policies."""

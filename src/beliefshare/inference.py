@@ -169,10 +169,6 @@ class TransitionTensor:
             raise ShapeError(f"{self.factor_id!r} transition columns must sum to 1")
 
     @property
-    def n_states(self) -> int:
-        return self.table.shape[0]
-
-    @property
     def n_actions(self) -> int:
         return self.table.shape[2]
 

@@ -102,9 +102,7 @@ class PerceptionUpdate:
 
     location: CategoricalBelief
     object: CategoricalBelief
-    location_prior_msg: LogMessage
     object_prior_msg: LogMessage
-    location_likelihoods: list
     object_likelihoods: list
 
 
@@ -141,11 +139,7 @@ def perceive(
     loc_evidence = loc_prior_msg.logits.copy()
     if model.observe_location and location_obs is not None:
         obs = ObservationEvent(world.LOCATION_MODALITY, location_obs)
-        msg_a1 = likelihood_message(model.A_location, obs, [], world.LOCATION)
-        loc_evidence += msg_a1.logits
-        loc_msgs = [msg_a1]
-    else:
-        loc_msgs = []
+        loc_evidence += likelihood_message(model.A_location, obs, [], world.LOCATION).logits
 
     vis_event = None
     if model.observe_visibility and visibility_obs is not None:
@@ -155,11 +149,8 @@ def perceive(
     obj_belief = CategoricalBelief(world.OBJECT, softmax(obj_prior_msg.logits))
 
     if vis_event is None:
-        return PerceptionUpdate(
-            loc_belief, obj_belief, loc_prior_msg, obj_prior_msg, loc_msgs, []
-        )
+        return PerceptionUpdate(loc_belief, obj_belief, obj_prior_msg, [])
 
-    vis_to_loc = None
     vis_to_obj = None
     for _ in range(MAX_SWEEPS):
         vis_to_loc = likelihood_message(
@@ -180,11 +171,4 @@ def perceive(
         if delta < SWEEP_TOL:
             break
 
-    return PerceptionUpdate(
-        loc_belief,
-        obj_belief,
-        loc_prior_msg,
-        obj_prior_msg,
-        loc_msgs + [vis_to_loc],
-        [vis_to_obj],
-    )
+    return PerceptionUpdate(loc_belief, obj_belief, obj_prior_msg, [vis_to_obj])

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from . import world
-from .errors import EmptyInput, PolicySpaceTooLarge, ShapeError
+from .errors import CapExceeded, EmptyInput, ShapeError
 from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
@@ -26,7 +26,6 @@ SCORE_BYTES = 1 << 16
 class EFEBreakdown:
     """Score of one policy: G = -info_gain - utility (lower is better)."""
 
-    policy: tuple
     info_gain: float
     utility: float
 
@@ -35,13 +34,13 @@ class EFEBreakdown:
         return -self.info_gain - self.utility
 
 
-def enumerate_policies(n_actions: int, horizon: int, cap: int = POLICY_CAP) -> list:
-    """All action sequences of the given length, in lexicographic order."""
+def enumerate_policies(n_actions: int, horizon: int) -> list:
+    """All action sequences of the given length, in lexicographic order; at most POLICY_CAP."""
     if horizon < 1 or n_actions < 1:
         raise EmptyInput("horizon and action count must be at least 1")
     count = n_actions**horizon
-    if count > cap:
-        raise PolicySpaceTooLarge(f"{count} policies exceed the cap of {cap}")
+    if count > POLICY_CAP:
+        raise CapExceeded(f"{count} policies exceed the cap of {POLICY_CAP}")
     return list(product(range(n_actions), repeat=horizon))
 
 
@@ -102,7 +101,7 @@ def expected_free_energy(model, beliefs, policy) -> EFEBreakdown:
                     continue
                 post = normalize(model.A_location.table[o] * loc)
                 info_gain += q_o[o] * kl_divergence(post, loc)
-    return EFEBreakdown(tuple(policy), info_gain, utility)
+    return EFEBreakdown(info_gain, utility)
 
 
 class PlannerContext:
@@ -119,7 +118,6 @@ class PlannerContext:
     def __init__(self, model):
         A2 = model.A_visibility.table
         A1 = model.A_location.table
-        self.n_actions = model.n_nodes
         self.A2 = A2
         self.adj = model.graph.adjacency.astype(float)
         self.stay = 1.0 - self.adj

@@ -27,11 +27,13 @@ import numpy as np
 
 from . import planning, world
 from .comms import CommMode
-from .errors import ConfigError, SweepTooLarge
+from .errors import CapExceeded, ConfigError
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
+# Longest trial: a traced trial holds (steps, agents, nodes) arrays.
+STEP_CAP = 1_000
 
 FREE = "free"
 FROZEN = "frozen"
@@ -81,6 +83,8 @@ class ScenarioConfig:
             raise ConfigError("agents: need at least one agent")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
+        if self.steps > STEP_CAP:
+            raise CapExceeded(f"steps: {self.steps} is over the cap of {STEP_CAP}")
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
         if self.seed < 0:
@@ -538,13 +542,7 @@ def worker_count(requested: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(requested, cpus or 1, n_tasks))
 
 
-def run_sweep(
-    template: ScenarioConfig,
-    modes=SWEEP_MODES,
-    repeats: int = 5,
-    jobs: int = 1,
-    cap: int = SWEEP_TRIAL_CAP,
-) -> SweepResult:
+def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, jobs: int = 1) -> SweepResult:
     """Find rates over every (agent starts, object location) combination.
 
     Each trial is ``template`` with the agents' start nodes, the object's
@@ -552,8 +550,11 @@ def run_sweep(
     priors included, carries over. The template's seed is the master seed.
     Each combination runs ``repeats`` seeded trials per mode; the same
     trial seed is paired across modes so mode comparisons share their
-    random draws. "random" is the no-planning baseline.
+    random draws. "random" is the no-planning baseline. At most
+    SWEEP_TRIAL_CAP trials run.
     """
+    if not modes:
+        raise ConfigError("sweep_modes: need at least one mode")
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
     if jobs < 1:
@@ -566,8 +567,8 @@ def run_sweep(
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
     n = template.graph.n_nodes
     total = n ** (template.n_agents + 1) * repeats * len(modes)
-    if total > cap:
-        raise SweepTooLarge(f"{total} trials exceed the cap of {cap}")
+    if total > SWEEP_TRIAL_CAP:
+        raise CapExceeded(f"{total} trials exceed the cap of {SWEEP_TRIAL_CAP}")
     planning.enumerate_policies(n, template.horizon)  # enforces the cap
     combos = np.array(list(product(range(n), repeat=template.n_agents + 1)))
     combos = combos.repeat(repeats, axis=0)

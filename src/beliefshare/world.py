@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphTooLarge, ShapeError
+from .errors import CapExceeded, ConfigError, ShapeError
 from .inference import LikelihoodTensor, TransitionTensor
 
 LOCATION = "location"
@@ -101,7 +101,7 @@ def parse_graph_text(text: str) -> WorldGraph:
         raise ShapeError("graph fixture is empty")
     n = max(entries) + 1
     if n > NODE_CAP:
-        raise GraphTooLarge(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
+        raise CapExceeded(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
     adj = np.zeros((n, n), dtype=bool)
     for node, nbs in entries.items():
         for nb in nbs:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+import golden
 from beliefshare import world
 from beliefshare.cli import cmd_scenario, cmd_sweep
 from beliefshare.comms import CommMode
@@ -383,3 +384,9 @@ def test_criterion_8_determinism(sweep_runs, tmp_path):
                 if not same:
                     detail.append(f"{scenario}/{mode}/{name} DIFFERS")
     report("8 (determinism)", ok, "; ".join(detail) or "all outputs byte-identical")
+
+
+def test_criterion_8_golden_sweep(sweep_runs):
+    """The shipped sweep's CSVs match the digests recorded in tests/golden.json."""
+    out_a, _, _ = sweep_runs
+    golden.check("shipped_sweep", golden.sweep_digests(out_a))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefshare
 from beliefshare import cli, world
 from beliefshare.cli import (
     EXIT_CAP,
@@ -23,7 +25,6 @@ from beliefshare.cli import (
     cmd_scenario,
     cmd_sweep,
     main,
-    parse_config,
     parse_config_text,
     serialize_config,
 )
@@ -92,12 +93,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config key 'colour'"):
             parse_config_text(MINIMAL + "colour = blue\n")
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         config, modes = parse_config_text(MINIMAL + "object = 7\ntemperature = 2.5\n")
         text = serialize_config(config, modes)
-        path = tmp_path / "scenario.cfg"
-        path.write_text(text)
-        again = parse_config(str(path))
+        again, _ = parse_config_text(text)
         assert serialize_config(again, modes) == text
         assert again.comm_mode == config.comm_mode
         assert again.config_hash() == config.config_hash()
@@ -352,6 +351,7 @@ class TestSweepInputs:
             ("graph = one.txt\nagent = 0 | peak:0\n", "agent (line 9): 'peak' takes one node"),
             ("sweep_modes = none,telepathy\n", "sweep_modes (line 8): expected"),
             ("sweep_modes = none,none\n", "sweep_modes: each mode may be listed once"),
+            ("sweep_modes =\n", "sweep_modes: need at least one mode"),
             ("agent = 0 | bump:1,x\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,x,0.5\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,0.5\n", "agent (line 8): prior has 2 entries, world has 3"),
@@ -385,6 +385,15 @@ class TestSweepInputs:
         assert code == EXIT_CAP
         assert len(err) == 1 and "5001 nodes" in err[0]
         assert peak < 1_000_000
+
+    def test_steps_cap(self, tmp_path, capsys):
+        # an agent that cannot see the object would walk all 10**9 steps of every trial
+        (tmp_path / "two.txt").write_text("0: 1\n1: 0\n")
+        extra = "graph = two.txt\nsteps = 1000000000\nobserve_visibility = off\n"
+        code, err, out = self.sweep(tmp_path, capsys, extra)
+        assert code == EXIT_CAP
+        assert len(err) == 1 and err[0] == "resource cap: steps: 1000000000 is over the cap of 1000"
+        assert not out.exists()
 
     def test_missing_graph_fixture_is_io_error(self, tmp_path, capsys):
         code, err, _ = self.sweep(tmp_path, capsys, "graph = missing.txt\n")
@@ -443,6 +452,11 @@ class TestMain:
         code = "import beliefshare.cli, sys; assert 'scipy' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib: Python 3.10, which the package supports, has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'(?m)^version = "([^"]+)"$', text).group(1) == beliefshare.__version__
 
     def test_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

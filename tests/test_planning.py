@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshare import world
-from beliefshare.errors import EmptyInput, PolicySpaceTooLarge
+from beliefshare.errors import CapExceeded, EmptyInput
 from beliefshare.inference import (
     CategoricalBelief,
     LikelihoodTensor,
@@ -52,7 +52,7 @@ class TestEnumeratePolicies:
         assert len(enumerate_policies(15, 2)) == 225
 
     def test_cap(self):
-        with pytest.raises(PolicySpaceTooLarge):
+        with pytest.raises(CapExceeded):
             enumerate_policies(15, 4)
 
     def test_bad_args(self):

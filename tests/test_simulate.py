@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from beliefshare import planning, world
 from beliefshare.comms import CommMode, broadcast_round, integrated_object_belief
-from beliefshare.errors import ConfigError, SweepTooLarge
+from beliefshare.errors import CapExceeded, ConfigError
 from beliefshare.model import (
     BeliefState,
     initial_state,
@@ -466,15 +466,15 @@ class TestSweep:
             run_sweep(replace(sweep_template(self.SMALL), action_policy="random"), repeats=1)
 
     def test_cap(self):
-        with pytest.raises(SweepTooLarge):
-            run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5, cap=10_000)
+        with pytest.raises(CapExceeded):
+            run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5)
 
     def test_cap_checked_before_enumerating(self):
         # listing all 15**5 (starts, object) combinations first peaked at ~50 MB
         template = sweep_template(GRAPH, n_agents=4)
         tracemalloc.start()
         try:
-            with pytest.raises(SweepTooLarge):
+            with pytest.raises(CapExceeded):
                 run_sweep(template, repeats=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
