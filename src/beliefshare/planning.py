@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from . import world
-from .errors import CapExceeded, EmptyInput, ShapeError
+from .errors import EmptyInput, ShapeError, check_cap
 from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
@@ -38,9 +38,7 @@ def enumerate_policies(n_actions: int, horizon: int) -> list:
     """All action sequences of the given length, in lexicographic order; at most POLICY_CAP."""
     if horizon < 1 or n_actions < 1:
         raise EmptyInput("horizon and action count must be at least 1")
-    count = n_actions**horizon
-    if count > POLICY_CAP:
-        raise CapExceeded(f"{count} policies exceed the cap of {POLICY_CAP}")
+    check_cap("policies", POLICY_CAP, n_actions, horizon)
     return list(product(range(n_actions), repeat=horizon))
 
 
@@ -198,7 +196,9 @@ class PlannerContext:
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:
     """Beliefs per stacked ``scores`` call: each (beliefs, P) float array within SCORE_BYTES; at least 1."""
-    return max(1, SCORE_BYTES // (8 * n_nodes**horizon))
+    # only planning configs cap the horizon; for n >= 2, a horizon past
+    # SCORE_BYTES' bit length leaves one row, so the power need not grow past it
+    return max(1, SCORE_BYTES // (8 * n_nodes ** min(horizon, SCORE_BYTES.bit_length())))
 
 
 def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:

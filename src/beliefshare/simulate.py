@@ -27,7 +27,7 @@ import numpy as np
 
 from . import planning, world
 from .comms import CommMode
-from .errors import CapExceeded, ConfigError
+from .errors import CapExceeded, ConfigError, check_cap
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
@@ -72,8 +72,7 @@ class ScenarioConfig:
     observe_visibility: bool = True
     movement: str = FREE
     action_policy: str = PLANNED
-    scripted_actions: list | None = None
-    scripted_visibility: list | None = None
+    forced_visibility: int | None = None  # every agent's visibility outcome, each step; None draws it
     visible_bonus: float = VISIBLE_BONUS
     graph_ref: str = "default"
 
@@ -98,6 +97,8 @@ class ScenarioConfig:
             raise ConfigError(f"movement: must be 'free' or 'frozen', got {self.movement!r}")
         if self.action_policy not in (PLANNED, RANDOM):
             raise ConfigError("action_policy: must be 'plan' or 'random'")
+        if self.action_policy == PLANNED and self.movement == FREE:
+            check_cap("policies", planning.POLICY_CAP, n, self.horizon)
         for i, spec in enumerate(self.agents):
             if not 0 <= spec.start_node < n:
                 raise ConfigError(f"agents[{i}].start_node: {spec.start_node} out of range")
@@ -109,24 +110,11 @@ class ScenarioConfig:
                 raise ConfigError(f"agents[{i}].object_prior: not a normalized distribution")
         if self.object_location is not None and not 0 <= self.object_location < n:
             raise ConfigError(f"object_location: {self.object_location} out of range")
-        if self.scripted_actions is not None:
-            if len(self.scripted_actions) != self.n_agents:
-                raise ConfigError(f"scripted_actions: need one sequence per agent ({self.n_agents})")
-            for i, seq in enumerate(self.scripted_actions):
-                if len(seq) < self.steps:
-                    raise ConfigError(f"scripted_actions[{i}]: shorter than steps")
-                if any(not 0 <= a < n for a in seq):
-                    raise ConfigError(f"scripted_actions[{i}]: action out of range")
-        if self.scripted_visibility is not None:
+        if self.forced_visibility is not None:
             if not self.observe_visibility:
-                raise ConfigError("scripted_visibility: requires observe_visibility on")
-            if len(self.scripted_visibility) != self.n_agents:
-                raise ConfigError(f"scripted_visibility: need one sequence per agent ({self.n_agents})")
-            for i, seq in enumerate(self.scripted_visibility):
-                if len(seq) < self.steps:
-                    raise ConfigError(f"scripted_visibility[{i}]: shorter than steps")
-                if any(v not in (world.VISIBLE, world.NOT_VISIBLE) for v in seq):
-                    raise ConfigError(f"scripted_visibility[{i}]: outcomes must be 0 or 1")
+                raise ConfigError("forced_visibility: requires observe_visibility on")
+            if self.forced_visibility not in (world.VISIBLE, world.NOT_VISIBLE):
+                raise ConfigError(f"forced_visibility: must be 0 or 1, got {self.forced_visibility!r}")
 
     @property
     def n_agents(self) -> int:
@@ -150,10 +138,8 @@ class ScenarioConfig:
             self.movement,
             self.action_policy,
             self.visible_bonus,
-            None if self.scripted_actions is None else [list(s) for s in self.scripted_actions],
-            None
-            if self.scripted_visibility is None
-            else [list(s) for s in self.scripted_visibility],
+            None,  # a retired setting's slot: it keeps every other config's hash
+            self.forced_visibility,
         )
         h.update(repr(fields).encode())
         return h.hexdigest()[:16]
@@ -218,11 +204,8 @@ def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
     """The planning and perception context of a config's graph, observations and visible bonus.
 
     Every agent shares it: agents differ only in start node and object
-    prior, and the context reads neither. A config whose trials plan must
-    keep its policy count within the cap.
+    prior, and the context reads neither.
     """
-    if config.action_policy == PLANNED and config.movement == FREE and config.scripted_actions is None:
-        planning.enumerate_policies(config.graph.n_nodes, config.horizon)  # enforces the cap
     spec = config.agents[0]
     model = make_agent_model(
         config.graph,
@@ -285,11 +268,9 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
     return softmax(total), payloads
 
 
-def _choose_actions(config, planner, t, positions, locs, objs, rngs) -> np.ndarray:
-    """Every agent's move target: scripted, frozen, uniform at random, or sampled from its scores."""
+def _choose_actions(config, planner, positions, locs, objs, rngs) -> np.ndarray:
+    """Every agent's move target: frozen, uniform at random, or sampled from its scores."""
     n = config.graph.n_nodes
-    if config.scripted_actions is not None:
-        return np.broadcast_to([seq[t] for seq in config.scripted_actions], positions.shape)
     if config.movement == FROZEN:
         return positions
     if config.action_policy == RANDOM:
@@ -327,21 +308,19 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
     np.put_along_axis(locs, positions[..., None], 1.0, axis=2)
     objs = np.tile([s.object_prior for s in config.agents], (n_trials, 1, 1))
     found_at = np.zeros(n_trials, dtype=int)
-    need_draws = config.observe_location or (
-        config.observe_visibility and config.scripted_visibility is None
-    )
+    draw_visibility = config.observe_visibility and config.forced_visibility is None
 
     for t in range(config.steps):
         loc_obs = vis_obs = None
-        if need_draws:
+        if config.observe_location or draw_visibility:
             u = np.array([rng.random((n_agents, 2)) for rng in rngs])
             drawn = world.env_observe(positions, obj_nodes, u, planner.cum_A1, planner.A2)
             if config.observe_location:
                 loc_obs = drawn[0]
-            if config.observe_visibility and config.scripted_visibility is None:
+            if draw_visibility:
                 vis_obs = drawn[1]
-        if config.scripted_visibility is not None:
-            vis_obs = np.broadcast_to([seq[t] for seq in config.scripted_visibility], positions.shape)
+        if config.forced_visibility is not None:
+            vis_obs = np.full(positions.shape, config.forced_visibility)
 
         locs, own_objs, prior_obj, vis_msgs = _perceive(planner, locs, objs, loc_obs, vis_obs)
         objs, payloads = _share(config.comm_mode, prior_obj, own_objs, vis_msgs)
@@ -369,7 +348,7 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
         if t == config.steps - 1 or not live.size:
             break
 
-        actions = _choose_actions(config, planner, t, positions, locs, objs, rngs)
+        actions = _choose_actions(config, planner, positions, locs, objs, rngs)
         if trace is not None:
             trace.actions[t, live] = actions
         # one-row stacks keep each agent's move a matrix-vector product
@@ -470,34 +449,24 @@ def self_doubt_config(
     """Agents on the shipped grid sharing a 0.95 prior on node 1; no object there.
 
     The agents start on nodes 0, 4, 10 and 14, the first ``n_agents`` of
-    them, so at most four. The scripted variant pins every agent to node 1
-    drawing "not visible" forever, isolating the channel's response to
-    clean contradicting evidence.
+    them, so at most four. The scripted variant freezes every agent on
+    node 1 and forces each visibility outcome to "not visible", isolating
+    the channel's response to clean contradicting evidence.
     """
     starts = (0, 4, 10, 14)
     if not scripted and n_agents > len(starts):
         raise ConfigError(f"n_agents: at most {len(starts)} unscripted agents, got {n_agents}")
     graph = world.default_graph()
     prior = peaked_prior(graph.n_nodes, 1, 0.95)
-    if scripted:
-        return ScenarioConfig(
-            graph=graph,
-            agents=[AgentSpec(1, prior.copy()) for _ in range(n_agents)],
-            object_location=None,
-            comm_mode=mode,
-            steps=steps,
-            observe_location=False,
-            scripted_actions=[[1] * steps] * n_agents,
-            scripted_visibility=[[world.NOT_VISIBLE] * steps] * n_agents,
-            seed=seed,
-        )
+    pinned = {"observe_location": False, "movement": FROZEN, "forced_visibility": world.NOT_VISIBLE}
     return ScenarioConfig(
         graph=graph,
-        agents=[AgentSpec(s, prior.copy()) for s in starts[:n_agents]],
+        agents=[AgentSpec(s, prior.copy()) for s in ([1] * n_agents if scripted else starts[:n_agents])],
         object_location=None,
         comm_mode=mode,
         steps=steps,
         seed=seed,
+        **(pinned if scripted else {}),
     )
 
 
@@ -566,10 +535,7 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
     if template.action_policy != PLANNED:
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
     n = template.graph.n_nodes
-    total = n ** (template.n_agents + 1) * repeats * len(modes)
-    if total > SWEEP_TRIAL_CAP:
-        raise CapExceeded(f"{total} trials exceed the cap of {SWEEP_TRIAL_CAP}")
-    planning.enumerate_policies(n, template.horizon)  # enforces the cap
+    check_cap("trials", SWEEP_TRIAL_CAP, n, template.n_agents + 1, repeats * len(modes))
     combos = np.array(list(product(range(n), repeat=template.n_agents + 1)))
     combos = combos.repeat(repeats, axis=0)
     starts, objects = combos[:, :-1], combos[:, -1]

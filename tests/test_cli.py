@@ -417,6 +417,27 @@ class TestSweepInputs:
         assert code == EXIT_CAP
         assert len(err) == 1 and "policies" in err[0]
 
+    @pytest.mark.parametrize(
+        "extra, words",
+        [
+            ("horizon = 4000\n", "3**4000 policies exceed the cap of 10000"),
+            ("horizon = 1000000000\n", "3**1000000000 policies exceed the cap of 10000"),
+            ("agent = 0 | uniform\n" * 4000, "3**4002 x 6 trials exceed the cap of 200000"),
+        ],
+    )
+    def test_huge_counts_capped_without_building(self, tmp_path, capsys, extra, words):
+        # counted against the cap factor by factor: no 4,000-digit power, no 10**9-digit one
+        tracemalloc.start()
+        try:
+            code, err, out = self.sweep(tmp_path, capsys, extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAP
+        assert err == [f"resource cap: {words}"]
+        assert not out.exists()
+        assert peak < 4_000_000
+
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         code, err, _ = self.sweep(tmp_path, capsys, args=("--seed", "-1"))
         assert code == EXIT_USAGE

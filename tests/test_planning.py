@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshare import world
-from beliefshare.errors import CapExceeded, EmptyInput
+from beliefshare.errors import CapExceeded, EmptyInput, ShapeError
 from beliefshare.inference import (
     CategoricalBelief,
     LikelihoodTensor,
@@ -54,6 +54,9 @@ class TestEnumeratePolicies:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_policies(15, 4)
+        # counted, not built: 15**100000 has 117,609 digits
+        with pytest.raises(CapExceeded, match=r"^15\*\*100000 policies exceed the cap of 10000$"):
+            enumerate_policies(15, 100_000)
 
     def test_bad_args(self):
         with pytest.raises(EmptyInput):
@@ -269,6 +272,9 @@ class TestStackedScores:
         # one 100-node belief alone (80 kB) exceeds the budget: still one row
         assert 8 * 100**2 > SCORE_BYTES
         assert rows_per_call(100, 2) == 1
+        # a horizon that only a frozen or random config can carry: never the power itself
+        assert rows_per_call(15, 10**9) == 1
+        assert rows_per_call(1, 10**9) == SCORE_BYTES // 8
 
 
 class TestSelectAction:
@@ -297,3 +303,6 @@ class TestSelectAction:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             sample_policy_index(np.array([]), 1.0, 0.5)
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ShapeError, match="temperature"):
+                sample_policy_index(np.zeros(2), temperature, 0.5)

@@ -1,7 +1,7 @@
 """Trial loop semantics, canonical scenarios, and the sweep machinery."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,23 +71,21 @@ def reference_trial(config):
 
     object_beliefs, location_beliefs, all_actions = [], [], []
     found, steps_to_find = False, None
-    need_draws = config.observe_location or (
-        config.observe_visibility and config.scripted_visibility is None
-    )
+    draw_visibility = config.observe_visibility and config.forced_visibility is None
     for t in range(config.steps):
         loc_obs = [None] * n_agents
         vis_obs = [None] * n_agents
-        if need_draws:
+        if config.observe_location or draw_visibility:
             drawn_loc, drawn_vis = world.env_observe(
                 positions, config.object_location, rng.random((n_agents, 2)), cum_A1,
                 models[0].A_visibility.table,
             )
             if config.observe_location:
                 loc_obs = list(drawn_loc)
-            if config.observe_visibility and config.scripted_visibility is None:
+            if draw_visibility:
                 vis_obs = list(drawn_vis)
-        if config.scripted_visibility is not None:
-            vis_obs = [int(config.scripted_visibility[i][t]) for i in range(n_agents)]
+        if config.forced_visibility is not None:
+            vis_obs = [config.forced_visibility] * n_agents
 
         updates = [
             perceive(models[i], states[i], loc_obs[i], vis_obs[i]) for i in range(n_agents)
@@ -109,9 +107,7 @@ def reference_trial(config):
 
         actions = []
         for i in range(n_agents):
-            if config.scripted_actions is not None:
-                actions.append(int(config.scripted_actions[i][t]))
-            elif config.movement == "frozen":
+            if config.movement == "frozen":
                 actions.append(int(positions[i]))
             elif config.action_policy == "random":
                 actions.append(int(rng.integers(n)))
@@ -187,19 +183,13 @@ class TestTrialLoopEquivalence:
     def test_silent_agents_step_exactly_as_if_alone(self):
         # no draws and no channel: each agent's row is bit-identical to its trial alone
         agents = [AgentSpec(3, peaked_prior(15, 3, 0.9)), AgentSpec(12, bumped_prior(15, (1, 12)))]
-        actions = [[4, 9, 9, 14, 13, 8], [11, 6, 1, 1, 2, 3]]
-        visibility = [[1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1]]
         config = ScenarioConfig(
             graph=GRAPH, agents=agents, object_location=None, comm_mode=CommMode.NONE,
-            steps=6, observe_location=False, scripted_actions=actions,
-            scripted_visibility=visibility,
+            steps=6, observe_location=False, movement="frozen", forced_visibility=world.VISIBLE,
         )
         together = run_trial(config).trace
         for i in range(2):
-            alone = run_trial(replace(
-                config, agents=[agents[i]], scripted_actions=[actions[i]],
-                scripted_visibility=[visibility[i]],
-            )).trace
+            alone = run_trial(replace(config, agents=[agents[i]])).trace
             assert np.array_equal(together.object_beliefs[:, i], alone.object_beliefs[:, 0])
             assert np.array_equal(together.location_beliefs[:, i], alone.location_beliefs[:, 0])
 
@@ -265,17 +255,48 @@ class TestConfigValidation:
             sweep_style_config((0,), 15, CommMode.NONE, 1)
         with pytest.raises(ConfigError, match="movement"):
             sweep_style_config((0,), None, CommMode.NONE, 1, movement="warp")
-        with pytest.raises(ConfigError, match="scripted_visibility"):
-            sweep_style_config(
-                (0,), None, CommMode.NONE, 1,
-                observe_visibility=False, scripted_visibility=[[1] * 8],
+        with pytest.raises(ConfigError, match="^agents: need at least one"):
+            ScenarioConfig(graph=GRAPH, agents=[], object_location=None, comm_mode=CommMode.NONE)
+        with pytest.raises(ConfigError, match="^horizon: must be >= 1"):
+            sweep_style_config((0,), None, CommMode.NONE, 1, horizon=0)
+        with pytest.raises(ConfigError, match="^action_policy"):
+            sweep_style_config((0,), None, CommMode.NONE, 1, action_policy="greedy")
+        with pytest.raises(ConfigError, match="agents\\[0\\].object_prior: length must be 15"):
+            ScenarioConfig(
+                graph=GRAPH,
+                agents=[AgentSpec(0, np.ones(3) / 3)],
+                object_location=None,
+                comm_mode=CommMode.NONE,
             )
+        with pytest.raises(ConfigError, match="^forced_visibility: requires observe_visibility"):
+            sweep_style_config(
+                (0,), None, CommMode.NONE, 1, observe_visibility=False, forced_visibility=world.VISIBLE
+            )
+        with pytest.raises(ConfigError, match="^forced_visibility: must be 0 or 1"):
+            sweep_style_config((0,), None, CommMode.NONE, 1, forced_visibility=2)
 
-    @pytest.mark.parametrize("key", ["scripted_actions", "scripted_visibility"])
-    def test_scripted_lists_need_one_sequence_per_agent(self, key):
-        # one sequence for two agents: the second agent has nothing to follow
-        with pytest.raises(ConfigError, match=f"{key}: need one sequence per agent"):
-            sweep_style_config((0, 4), None, CommMode.NONE, 1, steps=3, **{key: [[0, 0, 0]]})
+    def test_every_setting_enters_config_hash(self):
+        # another valid value per field; a field missing here fails the test
+        other = {
+            "graph": world.WorldGraph.grid(1, 15),
+            "agents": [AgentSpec(1, np.ones(15) / 15)],
+            "comm_mode": CommMode.POSTERIOR_SHARING,
+            "object_location": 3,
+            "horizon": 1,
+            "steps": 5,
+            "temperature": 2.0,
+            "seed": 2,
+            "observe_location": False,
+            "observe_visibility": False,
+            "movement": "frozen",
+            "action_policy": "random",
+            "forced_visibility": world.NOT_VISIBLE,
+            "visible_bonus": 1.0,
+        }
+        base = sweep_style_config((0,), None, CommMode.NONE, 1)
+        assert set(other) == {f.name for f in fields(ScenarioConfig)} - {"graph_ref"}
+        for name, value in other.items():
+            assert replace(base, **{name: value}).config_hash() != base.config_hash(), name
 
 
 class TestFindCriterion:
@@ -399,6 +420,17 @@ class TestSelfDoubtScenario:
         post = trace.object_beliefs[0, 0]
         assert post[1] / post[0] == pytest.approx(prior_odds / 4, rel=1e-9)
 
+    def test_steps_cap_checked_before_building(self):
+        # a step-long script per agent once held 16 MB here before the cap was checked
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="^steps"):
+                self_doubt_config(CommMode.NONE, steps=10**6, scripted=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_agent_count(self):
         # the unscripted variant has four start nodes; the scripted one stacks any count on node 1
         assert self_doubt_config(CommMode.NONE, n_agents=4).n_agents == 4
@@ -468,6 +500,9 @@ class TestSweep:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5)
+        # on one node the power is 1: repeats x modes alone are over the cap
+        with pytest.raises(CapExceeded, match="^4000000 trials exceed"):
+            run_sweep(sweep_template(world.WorldGraph.grid(1, 1)), repeats=10**6)
 
     def test_cap_checked_before_enumerating(self):
         # listing all 15**5 (starts, object) combinations first peaked at ~50 MB

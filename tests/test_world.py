@@ -173,3 +173,6 @@ class TestEnvObserve:
         rng = np.random.default_rng(5)
         loc_obs, _ = env_observe([0], 0, rng.random((1, 2)), *observation_tensors(1))
         assert loc_obs.tolist() == [0]
+        # an absent object has no other node to stand in for it: never visible, even at u = 0
+        _, vis_obs = env_observe([0], None, np.zeros((1, 2)), *observation_tensors(1))
+        assert vis_obs.tolist() == [NOT_VISIBLE]
