@@ -34,7 +34,7 @@ class ConfigError(BeliefShareError):
 
 
 class CapExceeded(BeliefShareError):
-    """A request is over a resource cap: graph nodes, trial steps, sweep trials or policies."""
+    """A request is over a resource cap: graph nodes, trial steps, agents, sweep trials or policies."""
 
 
 def check_cap(what: str, cap: int, base: int, exponent: int, factor: int = 1) -> None:

@@ -18,7 +18,7 @@ from .inference import floored_log, kl_divergence, normalize, softmax
 POLICY_CAP = 10_000
 
 # Bytes of one (beliefs, policies) float array in a stacked scores call:
-# 36 beliefs, 18 two-agent trials, on the 15-node grid at horizon 2.
+# 36 beliefs on the 15-node grid at horizon 2.
 SCORE_BYTES = 1 << 16
 
 

@@ -7,13 +7,13 @@ so a (config, seed) pair pins the whole trajectory down to the emitted
 CSV bytes.
 
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
-of one channel together: beliefs are (trials, agents, nodes) arrays, every
-stage runs on the whole batch, and a trial that finds the object leaves
-it. Sweeps hand it chunks of trials through ``run_trials``; ``run_trial``
-is its batch of one and records the trace the scenario exports write.
-The kernel computes what the contract operations (model.perceive,
-comms.broadcast_round, PlannerContext.scores) compute one agent at a
-time, and the test suite holds the two paths to agreement within 1e-12.
+of one channel together as (trials, agents, nodes) belief arrays, and a
+trial that finds the object leaves it. ``run_trials`` hands it batches of
+TRIALS_PER_BATCH trials, scored ``planning.rows_per_call`` beliefs at a
+time; ``run_trial`` is its batch of one and records the trace the
+scenario exports write. The kernel computes what the contract operations
+(model.perceive, comms.broadcast_round, PlannerContext.scores) compute
+one agent at a time; the tests hold the two paths to agreement within 1e-12.
 """
 
 import hashlib
@@ -32,8 +32,10 @@ from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
-# Longest trial: a traced trial holds (steps, agents, nodes) arrays.
+# Longest trial and most agents: a traced trial holds (steps, agents, nodes) arrays.
 STEP_CAP = 1_000
+AGENT_CAP = 64
+TRIALS_PER_BATCH = 256
 
 FREE = "free"
 FROZEN = "frozen"
@@ -80,6 +82,8 @@ class ScenarioConfig:
         n = self.graph.n_nodes
         if not self.agents:
             raise ConfigError("agents: need at least one agent")
+        if len(self.agents) > AGENT_CAP:
+            raise CapExceeded(f"agents: {len(self.agents)} is over the cap of {AGENT_CAP}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.steps > STEP_CAP:
@@ -275,14 +279,14 @@ def _choose_actions(config, planner, positions, locs, objs, rngs) -> np.ndarray:
         return positions
     if config.action_policy == RANDOM:
         return np.array([rng.integers(n, size=positions.shape[1]) for rng in rngs])
-    locs, objs = locs.reshape(-1, n), objs.reshape(-1, n)
-    rows = planning.rows_per_call(n, config.horizon)
-    G = np.concatenate([
-        planner.scores(locs[i : i + rows], objs[i : i + rows], config.horizon)
-        for i in range(0, len(locs), rows)
-    ])
     u = np.concatenate([rng.random(positions.shape[1]) for rng in rngs])
-    policies = planning.sample_policy_index(G, config.temperature, u)
+    rows = planning.rows_per_call(n, config.horizon)
+    # each chunk is sampled as soon as it is scored: no (batch, policies) array is held
+    chunks = (np.split(a, range(rows, len(u), rows)) for a in (locs.reshape(-1, n), objs.reshape(-1, n), u))
+    policies = np.concatenate([
+        planning.sample_policy_index(planner.scores(loc, obj, config.horizon), config.temperature, draw)
+        for loc, obj, draw in zip(*chunks)
+    ])
     return (policies // n ** (config.horizon - 1)).reshape(positions.shape)
 
 
@@ -378,8 +382,8 @@ def run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> n
     Each trial takes its start nodes, object node and seed from the arrays
     and all else, the agents' priors included, from ``template``; "random"
     is the no-planning baseline. Trials run through the trial step in
-    batches sized by ``planning.rows_per_call``. Returns each trial's step
-    of finding the object, 0 where it did not.
+    batches of TRIALS_PER_BATCH. Returns each trial's step of finding the
+    object, 0 where it did not.
     """
     if mode not in SWEEP_MODES:
         raise ConfigError(f"mode: unknown sweep mode {mode!r}")
@@ -394,10 +398,9 @@ def run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> n
     else:
         config = replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
     planner = planner_context(config)
-    size = max(1, planning.rows_per_call(n, config.horizon) // config.n_agents)
     found_at = [
-        _step_trials(config, planner, starts[i : i + size], objects[i : i + size], seeds[i : i + size])
-        for i in range(0, len(objects), size)
+        _step_trials(config, planner, *(a[i : i + TRIALS_PER_BATCH] for a in (starts, objects, seeds)))
+        for i in range(0, len(objects), TRIALS_PER_BATCH)
     ]
     return np.concatenate([np.zeros(0, dtype=int), *found_at])
 

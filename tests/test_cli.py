@@ -422,7 +422,7 @@ class TestSweepInputs:
         [
             ("horizon = 4000\n", "3**4000 policies exceed the cap of 10000"),
             ("horizon = 1000000000\n", "3**1000000000 policies exceed the cap of 10000"),
-            ("agent = 0 | uniform\n" * 4000, "3**4002 x 6 trials exceed the cap of 200000"),
+            ("agent = 0 | uniform\n" * 4000, "agents: 4001 is over the cap of 64"),
         ],
     )
     def test_huge_counts_capped_without_building(self, tmp_path, capsys, extra, words):
@@ -437,6 +437,16 @@ class TestSweepInputs:
         assert err == [f"resource cap: {words}"]
         assert not out.exists()
         assert peak < 4_000_000
+
+    @pytest.mark.parametrize("lines", [500, 2000])
+    def test_agent_cap_on_one_node(self, tmp_path, capsys, lines):
+        # one node: the trial cap n**(agents + 1) is 1 whatever the agent count
+        (tmp_path / "one.txt").write_text("0:\n")
+        extra = "graph = one.txt\nobserve_visibility = off\n" + "agent = 0 | uniform\n" * lines
+        code, err, out = self.sweep(tmp_path, capsys, extra)
+        assert code == EXIT_CAP
+        assert err == [f"resource cap: agents: {lines + 1} is over the cap of 64"]
+        assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         code, err, _ = self.sweep(tmp_path, capsys, args=("--seed", "-1"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefshare import planning, world
+from beliefshare import planning, simulate, world
 from beliefshare.comms import CommMode, broadcast_round, integrated_object_belief
 from beliefshare.errors import CapExceeded, ConfigError
 from beliefshare.model import (
@@ -275,6 +275,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^forced_visibility: must be 0 or 1"):
             sweep_style_config((0,), None, CommMode.NONE, 1, forced_visibility=2)
 
+    def test_agent_cap(self):
+        # every agent receives every other agent's message each step
+        starts = [0] * simulate.AGENT_CAP
+        assert sweep_style_config(starts, None, CommMode.NONE, 1).n_agents == simulate.AGENT_CAP
+        with pytest.raises(CapExceeded, match="^agents: 65 is over the cap of 64$"):
+            sweep_style_config(starts + [0], None, CommMode.NONE, 1)
+
     def test_every_setting_enters_config_hash(self):
         # another valid value per field; a field missing here fails the test
         other = {
@@ -432,11 +439,13 @@ class TestSelfDoubtScenario:
         assert peak < 1_000_000
 
     def test_agent_count(self):
-        # the unscripted variant has four start nodes; the scripted one stacks any count on node 1
+        # the unscripted variant has four start nodes; the scripted one stacks up to the cap on node 1
         assert self_doubt_config(CommMode.NONE, n_agents=4).n_agents == 4
         assert self_doubt_config(CommMode.NONE, scripted=True, n_agents=6).n_agents == 6
         with pytest.raises(ConfigError, match="^n_agents"):
             self_doubt_config(CommMode.NONE, n_agents=5)
+        with pytest.raises(CapExceeded, match="^agents: 65 is over the cap of 64$"):
+            self_doubt_config(CommMode.NONE, scripted=True, n_agents=simulate.AGENT_CAP + 1)
 
 
 def sweep_template(graph, n_agents=1, steps=4, seed=5, **kwargs):
@@ -533,9 +542,8 @@ class TestTrialBatches:
         "flags", [{}, {"observe_location": False}, {"observe_visibility": False}]
     )
     def test_batches_match_single_trials(self, monkeypatch, n_agents, flags):
-        # room for 7 beliefs per scoring call: batches of 7, 3 and 2 trials
-        # for 1, 2 and 3 agents, none of which divides the 11 trials
-        monkeypatch.setattr(planning, "SCORE_BYTES", 7 * 8 * 15**2)
+        # batches of 7, 3 and 2 trials for 1, 2 and 3 agents, none of which divides the 11 trials
+        monkeypatch.setattr(simulate, "TRIALS_PER_BATCH", 7 // n_agents)
         template = sweep_template(GRAPH, n_agents, steps=8, temperature=4.0, **flags)
         rng = np.random.default_rng(n_agents)
         starts = rng.integers(15, size=(11, n_agents))
@@ -567,6 +575,42 @@ class TestTrialBatches:
         batched = run_trials(template, "likelihood_sharing", starts, objects, seeds)
         monkeypatch.undo()
         assert np.array_equal(batched, run_trials(template, "likelihood_sharing", starts, objects, seeds))
+
+    def test_rows_independent_of_batch_size(self, monkeypatch):
+        template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
+        rng = np.random.default_rng(11)
+        starts = rng.integers(15, size=(40, 2))
+        objects = rng.integers(15, size=40)
+        seeds = [trial_seed(4, k) for k in range(40)]
+        sizes = (1, 7, simulate.TRIALS_PER_BATCH)
+        finds = set()
+        for mode in SWEEP_MODES:
+            found = []
+            for size in sizes:
+                monkeypatch.setattr(simulate, "TRIALS_PER_BATCH", size)
+                found.append(run_trials(template, mode, starts, objects, seeds))
+            assert all(np.array_equal(f, found[-1]) for f in found), mode
+            finds.update(found[-1].tolist())
+        assert len(finds) >= 3  # unfound trials, and finds at two or more steps
+
+    def test_batch_scores_held_one_chunk_at_a_time(self):
+        # a (512, 225) score array alone would take 0.9 MB; chunks of SCORE_BYTES stay far below
+        config = sweep_template(GRAPH, 2)
+        planner = planner_context(config)
+        rng = np.random.default_rng(2)
+        positions = rng.integers(15, size=(256, 2))
+        locs = np.eye(15)[positions]
+        objs = rng.dirichlet(np.ones(15), size=(256, 2))
+        rngs = [np.random.default_rng(k) for k in range(256)]
+        simulate._choose_actions(config, planner, positions, locs, objs, rngs)  # warm up
+        tracemalloc.start()
+        try:
+            actions = simulate._choose_actions(config, planner, positions, locs, objs, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert actions.shape == (256, 2)
+        assert peak < 16 * planning.SCORE_BYTES
 
     def test_rejects_bad_trials(self):
         template = sweep_template(GRAPH, 2)
