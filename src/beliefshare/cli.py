@@ -315,13 +315,13 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
     try:
         with open(config_path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
         try:
             config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read graph fixture: {exc}", file=sys.stderr)
             return EXIT_IO
         if seed is not None:

@@ -34,22 +34,10 @@ class ConfigError(BeliefShareError):
 
 
 class CapExceeded(BeliefShareError):
-    """A request is over a resource cap: graph nodes, trial steps, agents, sweep trials or policies."""
+    """A request is over a resource cap: graph nodes, steps, agents, horizon, repeats, trials or policies."""
 
 
-def check_cap(what: str, cap: int, base: int, exponent: int, factor: int = 1) -> None:
-    """Raise CapExceeded if ``factor * base**exponent`` is over ``cap``.
-
-    Multiplies by ``base`` one step at a time and stops once past the cap,
-    so a huge exponent builds no huge number.
-    """
-    if base < 2:
-        exponent = 0  # base 1: the power is 1
-    count, done = factor, 0
-    while count <= cap and done < exponent:
-        count *= base
-        done += 1
+def check_cap(what: str, cap: int, count: int) -> None:
+    """Raise CapExceeded if ``count`` is over ``cap``."""
     if count > cap:
-        if done < exponent:  # the power is not built: name it
-            count = f"{base}**{exponent}" + (f" x {factor}" if factor > 1 else "")
         raise CapExceeded(f"{count} {what} exceed the cap of {cap}")

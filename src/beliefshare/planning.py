@@ -12,10 +12,12 @@ from itertools import product
 import numpy as np
 
 from . import world
-from .errors import EmptyInput, ShapeError, check_cap
+from .errors import CapExceeded, EmptyInput, ShapeError, check_cap
 from .inference import floored_log, kl_divergence, normalize, softmax
 
 POLICY_CAP = 10_000
+# The longest horizon a graph of two or more nodes plans within POLICY_CAP: 2**13 <= 10,000 < 2**14.
+HORIZON_CAP = POLICY_CAP.bit_length() - 1
 
 # Bytes of one (beliefs, policies) float array in a stacked scores call:
 # 36 beliefs on the 15-node grid at horizon 2.
@@ -38,7 +40,9 @@ def enumerate_policies(n_actions: int, horizon: int) -> list:
     """All action sequences of the given length, in lexicographic order; at most POLICY_CAP."""
     if horizon < 1 or n_actions < 1:
         raise EmptyInput("horizon and action count must be at least 1")
-    check_cap("policies", POLICY_CAP, n_actions, horizon)
+    if horizon > HORIZON_CAP:
+        raise CapExceeded(f"horizon: {horizon} is over the cap of {HORIZON_CAP}")
+    check_cap("policies", POLICY_CAP, n_actions**horizon)
     return list(product(range(n_actions), repeat=horizon))
 
 
@@ -196,9 +200,7 @@ class PlannerContext:
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:
     """Beliefs per stacked ``scores`` call: each (beliefs, P) float array within SCORE_BYTES; at least 1."""
-    # only planning configs cap the horizon; for n >= 2, a horizon past
-    # SCORE_BYTES' bit length leaves one row, so the power need not grow past it
-    return max(1, SCORE_BYTES // (8 * n_nodes ** min(horizon, SCORE_BYTES.bit_length())))
+    return max(1, SCORE_BYTES // (8 * n_nodes**horizon))
 
 
 def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:

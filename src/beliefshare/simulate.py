@@ -17,7 +17,6 @@ one agent at a time; the tests hold the two paths to agreement within 1e-12.
 """
 
 import hashlib
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -36,6 +35,9 @@ SWEEP_TRIAL_CAP = 200_000
 STEP_CAP = 1_000
 AGENT_CAP = 64
 TRIALS_PER_BATCH = 256
+# Largest temperature and |visible_bonus|. With the horizon capped, a policy's score is
+# |G| <= HORIZON_CAP * (log 2 + log n + |visible_bonus|): temperature * |G| stays far inside float range.
+SCALE_BOUND = 1e6
 
 FREE = "free"
 FROZEN = "frozen"
@@ -90,19 +92,21 @@ class ScenarioConfig:
             raise CapExceeded(f"steps: {self.steps} is over the cap of {STEP_CAP}")
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
+        if self.horizon > planning.HORIZON_CAP:
+            raise CapExceeded(f"horizon: {self.horizon} is over the cap of {planning.HORIZON_CAP}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError(f"temperature: must be finite and positive, got {self.temperature}")
-        if not math.isfinite(self.visible_bonus):
-            raise ConfigError(f"visible_bonus: must be finite, got {self.visible_bonus}")
+        if not 0 < self.temperature <= SCALE_BOUND:
+            raise ConfigError(f"temperature: must be in (0, {SCALE_BOUND:g}], got {self.temperature}")
+        if not abs(self.visible_bonus) <= SCALE_BOUND:
+            raise ConfigError(f"visible_bonus: must lie within +-{SCALE_BOUND:g}, got {self.visible_bonus}")
         self.comm_mode = CommMode(self.comm_mode)
         if self.movement not in (FREE, FROZEN):
             raise ConfigError(f"movement: must be 'free' or 'frozen', got {self.movement!r}")
         if self.action_policy not in (PLANNED, RANDOM):
             raise ConfigError("action_policy: must be 'plan' or 'random'")
         if self.action_policy == PLANNED and self.movement == FREE:
-            check_cap("policies", planning.POLICY_CAP, n, self.horizon)
+            check_cap("policies", planning.POLICY_CAP, n**self.horizon)
         for i, spec in enumerate(self.agents):
             if not 0 <= spec.start_node < n:
                 raise ConfigError(f"agents[{i}].start_node: {spec.start_node} out of range")
@@ -226,7 +230,7 @@ def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
     """Own-evidence update of every agent row (mirrors model.perceive).
 
     Returns location and object beliefs, object prior messages, and the
-    visibility messages to the object factor (None with no visibility
+    visibility messages to the object factor (zeros with no visibility
     outcome). Each agent sweeps until its own beliefs settle, as alone.
     """
     prior_obj = floored_log(objs)
@@ -235,10 +239,10 @@ def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
         loc_ev = loc_ev + planner.log_A1[loc_obs]
     locs = softmax(loc_ev)
     objs = softmax(prior_obj)
-    if vis_obs is None:
-        return locs, objs, prior_obj, None
-    lw = planner.log_A2[vis_obs]
     vis_msgs = np.zeros(objs.shape)
+    if vis_obs is None:
+        return locs, objs, prior_obj, vis_msgs
+    lw = planner.log_A2[vis_obs]
     active = np.ones(objs.shape[:-1], dtype=bool)
     for _ in range(MAX_SWEEPS):
         new_loc = softmax(loc_ev + (lw @ objs[..., None])[..., 0])
@@ -259,12 +263,9 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
     """Broadcast from the own-evidence snapshot and integrate: (object beliefs, payloads or None)."""
     if mode == CommMode.NONE:
         return own_objs, None
-    if mode == CommMode.POSTERIOR_SHARING:
-        payloads = floored_log(own_objs)
-    else:
-        payloads = np.zeros(own_objs.shape) if vis_msgs is None else vis_msgs
+    payloads = floored_log(own_objs) if mode == CommMode.POSTERIOR_SHARING else vis_msgs
     payloads = payloads - payloads.max(axis=-1, keepdims=True)
-    total = prior_obj.copy() if vis_msgs is None else prior_obj + vis_msgs
+    total = prior_obj + vis_msgs
     agents = np.arange(payloads.shape[1])
     # every receiver adds the other agents' payloads in ascending sender order
     for sender in agents:
@@ -336,8 +337,7 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
             for obs, column in ((loc_obs, 0), (vis_obs, 1)):
                 if obs is not None:
                     trace.observations[t, live, :, column] = obs
-            if vis_msgs is not None:
-                trace.object_likelihood_sums[t, live] = vis_msgs
+            trace.object_likelihood_sums[t, live] = vis_msgs
             if payloads is not None:
                 trace.messages[t, live] = payloads
 
@@ -529,6 +529,8 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
         raise ConfigError("sweep_modes: need at least one mode")
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
+    if repeats > SWEEP_TRIAL_CAP:
+        raise CapExceeded(f"repeats: {repeats} is over the cap of {SWEEP_TRIAL_CAP}")
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     if len(set(modes)) < len(modes):
@@ -538,7 +540,7 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
     if template.action_policy != PLANNED:
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
     n = template.graph.n_nodes
-    check_cap("trials", SWEEP_TRIAL_CAP, n, template.n_agents + 1, repeats * len(modes))
+    check_cap("trials", SWEEP_TRIAL_CAP, n ** (template.n_agents + 1) * repeats * len(modes))
     combos = np.array(list(product(range(n), repeat=template.n_agents + 1)))
     combos = combos.repeat(repeats, axis=0)
     starts, objects = combos[:, :-1], combos[:, -1]

@@ -93,7 +93,7 @@ def parse_graph_text(text: str) -> WorldGraph:
             continue
         head, _, tail = line.partition(":")
         tokens = [head.strip(), *tail.replace(",", " ").split()]
-        if not all(tok.isdigit() for tok in tokens):
+        if not all(tok.isdecimal() for tok in tokens):
             raise ConfigError(f"graph fixture line {lineno}: expected 'node: nb,nb,...', got {line!r}")
         node, *nbs = (int(tok) for tok in tokens)
         entries[node] = nbs

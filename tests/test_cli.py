@@ -334,12 +334,18 @@ class TestSweepInputs:
             ("temperature = nan\n", "temperature"),
             ("temperature = inf\n", "temperature"),
             ("visible_bonus = nan\n", "visible_bonus"),
+            # finite, but temperature * G past float range made every policy probability NaN
+            ("temperature = 1e308\n", "temperature"),
+            ("temperature = 1000001\n", "temperature"),
+            ("visible_bonus = 1e308\n", "visible_bonus"),
+            ("visible_bonus = -1000001\n", "visible_bonus"),
         ],
     )
     def test_non_finite_value_rejected(self, tmp_path, capsys, extra, key):
-        code, err, _ = self.sweep(tmp_path, capsys, extra)
+        code, err, out = self.sweep(tmp_path, capsys, extra)
         assert code == EXIT_USAGE
         assert len(err) == 1 and f"config error: {key}:" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, words",
@@ -406,6 +412,29 @@ class TestSweepInputs:
         assert code == EXIT_USAGE
         assert len(err) == 1 and "line 2" in err[0]
 
+    def test_non_decimal_digit_in_fixture_names_line(self, tmp_path, capsys):
+        # "²" is a digit to str.isdigit but not a decimal int() can read
+        (tmp_path / "bad.txt").write_text("0: 1\n1: \u00b2\n", encoding="utf-8")
+        code, err, out = self.sweep(tmp_path, capsys, "graph = bad.txt\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("config error: graph fixture line 2:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg_head, fixture_head, what",
+        [(b"# caf\xe9\n", b"", "config"), (b"", b"# \xff\n", "graph fixture")],
+    )
+    def test_file_not_utf8_is_io_error(self, tmp_path, capsys, cfg_head, fixture_head, what):
+        # 0xE9 (Latin-1 "é") before a newline and a lone 0xFF are not UTF-8
+        (tmp_path / "bad.txt").write_bytes(fixture_head + b"0: 1\n1: 0\n")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(cfg_head + SWEEP_CFG.replace("tiny.txt", "bad.txt").encode())
+        out = tmp_path / "out"
+        code, err = run_main(["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(out)], capsys)
+        assert code == EXIT_IO
+        assert len(err) == 1 and err[0].startswith(f"cannot read {what}:")
+        assert not out.exists()
+
     def test_policy_cap_exit(self, tmp_path, capsys):
         # 15**4 policies on the shipped grid; one-step trials never plan
         cfg = tmp_path / "deep.cfg"
@@ -420,13 +449,19 @@ class TestSweepInputs:
     @pytest.mark.parametrize(
         "extra, words",
         [
-            ("horizon = 4000\n", "3**4000 policies exceed the cap of 10000"),
-            ("horizon = 1000000000\n", "3**1000000000 policies exceed the cap of 10000"),
+            ("horizon = 4000\n", "horizon: 4000 is over the cap of 13"),
+            ("horizon = 1000000000\n", "horizon: 1000000000 is over the cap of 13"),
+            # one node: the policy count n**horizon is 1 whatever the horizon
+            (
+                "graph = one.txt\nobserve_visibility = off\nsteps = 2\nhorizon = 1000000000\n",
+                "horizon: 1000000000 is over the cap of 13",
+            ),
             ("agent = 0 | uniform\n" * 4000, "agents: 4001 is over the cap of 64"),
         ],
     )
     def test_huge_counts_capped_without_building(self, tmp_path, capsys, extra, words):
-        # counted against the cap factor by factor: no 4,000-digit power, no 10**9-digit one
+        # each exponent is capped before any count is built: no 4,000-digit power, no 10**9-digit one
+        (tmp_path / "one.txt").write_text("0:\n")
         tracemalloc.start()
         try:
             code, err, out = self.sweep(tmp_path, capsys, extra)

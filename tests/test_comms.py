@@ -55,6 +55,9 @@ class TestComposePosterior:
     def test_mode_tag_none_rejected(self):
         with pytest.raises(ShapeError):
             SharedMessage(0, world.OBJECT, LogMessage(world.OBJECT, np.zeros(2)), CommMode.NONE)
+        payload = LogMessage(world.LOCATION, np.zeros(2))
+        with pytest.raises(ShapeError, match="payload factor"):
+            SharedMessage(0, world.OBJECT, payload, CommMode.POSTERIOR_SHARING)
 
 
 class TestComposeLikelihood:

@@ -60,6 +60,8 @@ class TestNormalize:
     def test_rejects_zero_mass(self):
         with pytest.raises(DegenerateDistribution):
             normalize([0.0, 0.0])
+        with pytest.raises(EmptyInput):
+            normalize([])
 
     def test_rejects_negative(self):
         with pytest.raises(DegenerateDistribution):
@@ -100,14 +102,30 @@ class TestTypes:
         with pytest.raises(DegenerateDistribution):
             belief([1.2, -0.2])
 
+    def test_vectors_are_non_empty_1d(self):
+        for probs in ([], [[0.5, 0.5]]):
+            with pytest.raises(ShapeError, match="non-empty 1-D"):
+                belief(probs)
+            with pytest.raises(ShapeError, match="non-empty 1-D"):
+                LogMessage("object", probs)
+
     def test_likelihood_rejects_non_stochastic(self):
         with pytest.raises(ShapeError):
             LikelihoodTensor("m", ("location",), np.array([[0.99, 0.01], [0.02, 0.99]]))
+        with pytest.raises(ShapeError, match="has 2 axes, expected outcome \\+ 2 parents"):
+            LikelihoodTensor("m", ("location", "object"), np.eye(2))
+        # columns sum to 1, yet an entry lies outside [0, 1]
+        with pytest.raises(ShapeError, match="entries must lie in"):
+            LikelihoodTensor("m", ("location",), np.array([[1.5, 0.5], [-0.5, 0.5]]))
 
     def test_transition_rejects_non_stochastic(self):
         table = np.ones((2, 2, 1))
         with pytest.raises(ShapeError):
             TransitionTensor("location", table)
+        with pytest.raises(ShapeError, match="3 axes"):
+            TransitionTensor("location", np.eye(2))
+        with pytest.raises(ShapeError, match="negative"):
+            TransitionTensor("location", np.array([[1.5, 0.0], [-0.5, 1.0]])[:, :, None])
 
     def test_observation_must_be_an_outcome_index(self):
         with pytest.raises(ShapeError):
@@ -197,6 +215,13 @@ class TestTransitionPrediction:
         with pytest.raises(InvalidAction):
             transition_prediction(B, belief([0.3, 0.7]), 1)
 
+    def test_belief_must_fit_dynamics(self):
+        B = TransitionTensor("object", np.eye(2)[:, :, None])
+        with pytest.raises(FactorMismatch):
+            transition_prediction(B, belief([0.3, 0.7], "location"), 0)
+        with pytest.raises(ShapeError):
+            transition_prediction(B, belief([0.2, 0.3, 0.5]), 0)
+
 
 class TestVmpUpdate:
     def test_flat_prior_single_message(self):
@@ -221,6 +246,8 @@ class TestVmpUpdate:
         prior = LogMessage("object", np.zeros(2))
         with pytest.raises(FactorMismatch):
             vmp_update(prior, [LogMessage("location", np.zeros(2))])
+        with pytest.raises(ShapeError):
+            vmp_update(prior, [LogMessage("object", np.zeros(3))])
 
     @given(prob_vectors(), st.data())
     @settings(max_examples=150)
@@ -253,6 +280,15 @@ class TestFreeEnergy:
         q = belief([0.8, 0.2])
         F = variational_free_energy(q, prior, [msg])
         assert F == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_mismatched_inputs(self):
+        q = belief([0.4, 0.6])
+        with pytest.raises(FactorMismatch):
+            variational_free_energy(q, belief([0.4, 0.6], "location"), [])
+        with pytest.raises(ShapeError):
+            variational_free_energy(q, belief([0.2, 0.3, 0.5]), [])
+        with pytest.raises(ShapeError):
+            variational_free_energy(q, q, [LogMessage("object", np.zeros(3))])
 
     def test_bound_property_on_grid(self):
         prior = belief([0.5, 0.5])
@@ -296,3 +332,5 @@ class TestExactBayesOracle:
     def test_degenerate(self):
         with pytest.raises(DegenerateDistribution):
             exact_bayes_oracle(belief([1.0, 0.0]), [np.array([0.0, 1.0])])
+        with pytest.raises(ShapeError):
+            exact_bayes_oracle(belief([1.0, 0.0]), [np.array([0.2, 0.3, 0.5])])

@@ -17,6 +17,7 @@ from beliefshare.inference import (
 )
 from beliefshare.model import BeliefState, initial_state, make_agent_model
 from beliefshare.planning import (
+    HORIZON_CAP,
     SCORE_BYTES,
     PlannerContext,
     enumerate_policies,
@@ -54,9 +55,14 @@ class TestEnumeratePolicies:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_policies(15, 4)
-        # counted, not built: 15**100000 has 117,609 digits
-        with pytest.raises(CapExceeded, match=r"^15\*\*100000 policies exceed the cap of 10000$"):
+        # the horizon is capped first, so the counted power stays small enough to name exactly
+        with pytest.raises(CapExceeded, match="^759375 policies exceed the cap of 10000$"):
+            enumerate_policies(15, 5)
+        with pytest.raises(CapExceeded, match="^horizon: 100000 is over the cap of 13$"):
             enumerate_policies(15, 100_000)
+        assert len(enumerate_policies(2, HORIZON_CAP)) == 2**13
+        with pytest.raises(CapExceeded, match="^horizon: 14 is over the cap of 13$"):
+            enumerate_policies(2, HORIZON_CAP + 1)
 
     def test_bad_args(self):
         with pytest.raises(EmptyInput):
@@ -272,9 +278,9 @@ class TestStackedScores:
         # one 100-node belief alone (80 kB) exceeds the budget: still one row
         assert 8 * 100**2 > SCORE_BYTES
         assert rows_per_call(100, 2) == 1
-        # a horizon that only a frozen or random config can carry: never the power itself
-        assert rows_per_call(15, 10**9) == 1
-        assert rows_per_call(1, 10**9) == SCORE_BYTES // 8
+        # the longest horizon: 2**13 policies fill the budget; one node plans one policy
+        assert rows_per_call(2, HORIZON_CAP) == 1
+        assert rows_per_call(1, HORIZON_CAP) == SCORE_BYTES // 8
 
 
 class TestSelectAction:

@@ -282,6 +282,15 @@ class TestConfigValidation:
         with pytest.raises(CapExceeded, match="^agents: 65 is over the cap of 64$"):
             sweep_style_config(starts + [0], None, CommMode.NONE, 1)
 
+    def test_horizon_cap(self):
+        # every config, planning or not: 2**13 policies fit POLICY_CAP, 2**14 do not
+        two = world.WorldGraph.grid(1, 2)
+        assert sweep_template(two, horizon=planning.HORIZON_CAP, movement=simulate.FROZEN).horizon == 13
+        with pytest.raises(CapExceeded, match="^horizon: 14 is over the cap of 13$"):
+            sweep_template(two, horizon=14, movement=simulate.FROZEN)
+        with pytest.raises(CapExceeded, match="^759375 policies exceed the cap of 10000$"):
+            sweep_style_config((0,), None, CommMode.NONE, 1, horizon=5)
+
     def test_every_setting_enters_config_hash(self):
         # another valid value per field; a field missing here fails the test
         other = {
@@ -510,8 +519,21 @@ class TestSweep:
         with pytest.raises(CapExceeded):
             run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5)
         # on one node the power is 1: repeats x modes alone are over the cap
-        with pytest.raises(CapExceeded, match="^4000000 trials exceed"):
+        with pytest.raises(CapExceeded, match="^240000 trials exceed"):
+            run_sweep(sweep_template(world.WorldGraph.grid(1, 1)), repeats=60_000)
+        # repeats are capped where they enter, so the trial count is always small
+        with pytest.raises(CapExceeded, match="^repeats: 1000000 is over the cap of 200000$"):
             run_sweep(sweep_template(world.WorldGraph.grid(1, 1)), repeats=10**6)
+
+    @pytest.mark.parametrize("visible_bonus", [simulate.SCALE_BOUND, -simulate.SCALE_BOUND])
+    def test_logits_finite_at_scale_bounds(self, visible_bonus):
+        # a sharp softmax underflows to exact zeros by design; nothing may overflow or turn NaN
+        template = sweep_template(
+            self.SMALL, n_agents=2, temperature=simulate.SCALE_BOUND, visible_bonus=visible_bonus
+        )
+        with np.errstate(all="raise", under="ignore"):
+            result = run_sweep(template, repeats=1)
+        assert result.found_at.shape == (len(SWEEP_MODES), 27)
 
     def test_cap_checked_before_enumerating(self):
         # listing all 15**5 (starts, object) combinations first peaked at ~50 MB

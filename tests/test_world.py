@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from beliefshare.errors import ConfigError
+from beliefshare.errors import ConfigError, ShapeError
 from beliefshare.world import (
     NOT_VISIBLE,
     VISIBLE,
@@ -51,6 +51,13 @@ class TestWorldGraph:
         g = default_graph()
         again = parse_graph_text(format_graph_text(g))
         assert np.array_equal(g.adjacency, again.adjacency)
+        # blank lines and comments are skipped
+        path = parse_graph_text("# a 0-1-2 path\n\n0: 1  # left end\n\n1: 0,2\n2:\n")
+        assert np.array_equal(path.adjacency, WorldGraph.from_edges(3, [(0, 1), (1, 2)]).adjacency)
+
+    def test_adjacency_shape_checked(self):
+        with pytest.raises(ShapeError, match="3x3"):
+            WorldGraph(3, np.eye(2, dtype=bool))
 
     def test_malformed_fixture_line_names_the_line(self):
         for bad in ("x: 0", "0: 1,y", "-1: 0"):
