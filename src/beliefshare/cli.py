@@ -20,13 +20,28 @@ import numpy as np
 
 from . import __version__, simulate, world
 from .comms import CommMode
-from .errors import BeliefShareError, CapExceeded, ConfigError
+from .errors import BeliefShareError, CapExceeded, ConfigError, FileAccessError
 from .simulate import AgentSpec, ScenarioConfig, SweepResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAP = 3
+
+
+class _UsageError(ConfigError):
+    """A command line the argument parser rejects."""
+
+
+# main's one error boundary: the first row whose kind matches an error gives its exit code and
+# stderr line, so a subclass comes before its base.
+ERROR_EXITS = (
+    (_UsageError, EXIT_USAGE, "usage error: {}"),
+    (ConfigError, EXIT_USAGE, "config error: {}"),
+    (FileAccessError, EXIT_IO, "{}"),
+    (CapExceeded, EXIT_CAP, "resource cap: {}"),
+    (BeliefShareError, EXIT_USAGE, "error: {}"),
+)
 
 
 def _flag(value: str) -> bool:
@@ -99,7 +114,11 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
             if not 0 <= node < n_nodes:
                 raise ConfigError(f"{field}: node {node} out of range for {n_nodes} nodes")
         if kind == "bump":
-            return simulate.bumped_prior(n_nodes, nodes, 2.0 if weight is None else weight)
+            weight = 2.0 if weight is None else weight
+            lifted = len(set(nodes))
+            if not (weight >= 0 and 0 < weight * lifted + n_nodes - lifted < np.inf):
+                raise ConfigError(f"{field}: a bump weight must be >= 0 and leave a finite, non-zero total")
+            return simulate.bumped_prior(n_nodes, nodes, weight)
         if len(nodes) != 1 or n_nodes < 2:
             raise ConfigError(f"{field}: 'peak' takes one node of a graph of two or more")
         return simulate.peaked_prior(n_nodes, nodes[0], 0.95 if weight is None else weight)
@@ -112,6 +131,15 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
     if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-9:
         raise ConfigError(f"{field}: prior must be a normalized distribution")
     return vec
+
+
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 input file's text; ``what`` names the file in the error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileAccessError(f"cannot read {what}: {exc}") from exc
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> tuple:
@@ -142,7 +170,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> tuple:
     if graph_ref == "default":
         graph = world.default_graph()
     else:
-        graph = world.load_graph_fixture(os.path.join(base_dir, graph_ref))
+        graph = world.parse_graph_text(_read_text(os.path.join(base_dir, graph_ref), "graph fixture"))
     if "comm_mode" not in settings:
         raise ConfigError("comm_mode: missing required key")
     if not agent_lines:
@@ -257,25 +285,29 @@ def write_sweep_files(result: SweepResult, out_dir: str) -> list:
     return [trials_path, aggregate_path]
 
 
-def _write_manifest(out_dir: str, config_hash: str, master_seed: int, paths: list, resolved_config: str):
-    files = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        files.append(
-            {"name": os.path.basename(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
-    manifest = {
-        "tool_version": __version__,
-        "config_hash": config_hash,
-        "master_seed": master_seed,
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "files": files,
-        "resolved_config": resolved_config,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+def _export(out_dir: str, write_files, record, config: ScenarioConfig, sweep_modes=None) -> None:
+    """Write a command's files with ``write_files(record, out_dir)``, then a manifest of them."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        files = []
+        for path in write_files(record, out_dir):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            digest = hashlib.sha256(data).hexdigest()
+            files.append({"name": os.path.basename(path), "sha256": digest, "bytes": len(data)})
+        manifest = {
+            "tool_version": __version__,
+            "config_hash": config.config_hash(),
+            "master_seed": config.seed,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+            "files": files,
+            "resolved_config": serialize_config(config, sweep_modes),
+        }
+        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise FileAccessError(f"cannot write outputs: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,62 +321,21 @@ SCENARIO_BUILDERS = {
 
 
 def cmd_scenario(name: str, mode: str, out_dir: str, seed: int = 42) -> int:
-    """Run a named scenario and export its belief traces."""
-    if name not in SCENARIO_BUILDERS:
-        print(f"unknown scenario {name!r}; choose from {sorted(SCENARIO_BUILDERS)}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        comm_mode = CommMode(mode)
-    except ValueError:
-        print(f"unknown mode {mode!r}", file=sys.stderr)
-        return EXIT_USAGE
-    config = SCENARIO_BUILDERS[name](comm_mode, seed=seed)
+    """Run a named scenario and export its belief traces; returns EXIT_OK or raises."""
+    config = SCENARIO_BUILDERS[name](CommMode(mode), seed=seed)
     result = simulate.run_trial(config)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = write_trace_files(result.trace, out_dir)
-        _write_manifest(out_dir, config.config_hash(), seed, paths, serialize_config(config))
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _export(out_dir, write_trace_files, result.trace, config)
     return EXIT_OK
 
 
 def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = None, jobs: int = 1) -> int:
-    """Run the find-rate sweep described by a config file."""
-    try:
-        with open(config_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        try:
-            config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read graph fixture: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if seed is not None:
-            config = replace(config, seed=seed)
-        result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = write_sweep_files(result, out_dir)
-        _write_manifest(
-            out_dir, config.config_hash(), config.seed, paths,
-            serialize_config(config, sweep_modes),
-        )
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    """Run the find-rate sweep described by a config file; returns EXIT_OK or raises."""
+    text = _read_text(config_path, "config")
+    config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
+    if seed is not None:
+        config = replace(config, seed=seed)
+    result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
+    _export(out_dir, write_sweep_files, result, config, sweep_modes)
     for mode, (rate, stderr, count) in result.aggregates.items():
         print(f"{mode}: find rate {rate:.3f} +/- {stderr:.3f} over {count} trials")
     return EXIT_OK
@@ -352,7 +343,7 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scenario = sub.add_parser("scenario", help="run a canonical scenario and export traces")
     p_scenario.add_argument("name", choices=sorted(SCENARIO_BUILDERS))
-    p_scenario.add_argument("--mode", required=True, help="none | posterior_sharing | likelihood_sharing")
+    p_scenario.add_argument("--mode", required=True, choices=[mode.value for mode in CommMode])
     p_scenario.add_argument("--out", required=True, help="output directory")
     p_scenario.add_argument("--seed", type=int, default=42)
 
@@ -376,23 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the program's only place where an error becomes an exit code and a stderr line."""
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.command == "scenario":
             return cmd_scenario(args.name, args.mode, args.out, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.repeats, args.out, args.seed, args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return cmd_sweep(args.config, args.repeats, args.out, args.seed, args.jobs)
     except BeliefShareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_USAGE
+        code, line = next((code, line) for kind, code, line in ERROR_EXITS if isinstance(exc, kind))
+        print(line.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

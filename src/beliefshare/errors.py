@@ -34,7 +34,13 @@ class ConfigError(BeliefShareError):
 
 
 class CapExceeded(BeliefShareError):
-    """A request is over a resource cap: graph nodes, steps, agents, horizon, repeats, trials or policies."""
+    """A request is over a resource cap: steps, agents, horizon, repeats, trials, policies, or the
+    nodes of a graph fixture, including a node number too long to read."""
+
+
+class FileAccessError(BeliefShareError):
+    """A config or graph fixture cannot be read, or the outputs cannot be written; the message
+    starts ``cannot read config:``, ``cannot read graph fixture:`` or ``cannot write outputs:``."""
 
 
 def check_cap(what: str, cap: int, count: int) -> None:

@@ -95,10 +95,14 @@ def parse_graph_text(text: str) -> WorldGraph:
         tokens = [head.strip(), *tail.replace(",", " ").split()]
         if not all(tok.isdecimal() for tok in tokens):
             raise ConfigError(f"graph fixture line {lineno}: expected 'node: nb,nb,...', got {line!r}")
-        node, *nbs = (int(tok) for tok in tokens)
+        try:
+            node, *nbs = (int(tok) for tok in tokens)
+        except ValueError as exc:  # more digits than int() reads
+            msg = f"graph fixture line {lineno}: a node number is over the cap of {NODE_CAP}"
+            raise CapExceeded(msg) from exc
         entries[node] = nbs
     if not entries:
-        raise ShapeError("graph fixture is empty")
+        raise ConfigError("graph fixture is empty")
     n = max(entries) + 1
     if n > NODE_CAP:
         raise CapExceeded(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
@@ -106,7 +110,7 @@ def parse_graph_text(text: str) -> WorldGraph:
     for node, nbs in entries.items():
         for nb in nbs:
             if not 0 <= nb < n:
-                raise ShapeError(f"neighbour {nb} of node {node} out of range")
+                raise ConfigError(f"neighbour {nb} of node {node} out of range")
             adj[node, nb] = adj[nb, node] = True
     return WorldGraph(n, adj)
 
@@ -117,12 +121,6 @@ def format_graph_text(graph: WorldGraph) -> str:
         nbs = [str(nb) for nb in graph.neighbours(node) if nb != node]
         lines.append(f"{node}: {','.join(nbs)}")
     return "\n".join(lines) + "\n"
-
-
-def load_graph_fixture(path: str) -> WorldGraph:
-    """Load a graph fixture file."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
 
 
 def default_graph() -> WorldGraph:

@@ -54,12 +54,14 @@ class TestParseConfig:
 
     def test_prior_specs(self):
         text = MINIMAL + "agent = 3 | bump:11,13\nagent = 4 | peak:1:0.9\n"
-        config, _ = parse_config_text(text)
+        config, _ = parse_config_text(text + "agent = 5 | bump:0,1:0\nagent = 6 | bump:2:3\n")
         bump = config.agents[2].object_prior
         assert bump[11] == pytest.approx(2 / 17)
         assert bump[0] == pytest.approx(1 / 17)
         peak = config.agents[3].object_prior
         assert peak[1] == pytest.approx(0.9)
+        assert config.agents[4].object_prior[[0, 1, 2]] == pytest.approx([0, 0, 1 / 13])
+        assert config.agents[5].object_prior[[2, 3]] == pytest.approx([3 / 17, 1 / 17])
 
     def test_explicit_prior_vector(self):
         vec = np.ones(15) / 15
@@ -152,16 +154,32 @@ def read_csv(path):
     return [line.split(",") for line in lines]
 
 
-class TestCmdScenario:
-    def test_unknown_scenario_or_mode(self, tmp_path):
-        assert cmd_scenario("nonsense", "none", str(tmp_path)) == EXIT_USAGE
-        assert cmd_scenario("echo-chamber", "telepathy", str(tmp_path)) == EXIT_USAGE
+def run_main(argv, capsys):
+    """Exit code and stderr lines of one CLI invocation."""
+    code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines()
 
-    def test_unwritable_out_dir(self, tmp_path):
+
+class TestCmdScenario:
+    def test_unknown_scenario_or_mode(self, tmp_path, capsys):
+        code, err = run_main(["scenario", "nonsense", "--mode", "none", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == [
+            "usage error: argument name: invalid choice: 'nonsense' (choose from 'echo-chamber', 'self-doubt')"
+        ]
+        code, err = run_main(["scenario", "echo-chamber", "--mode", "telepathy", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert err == [
+            "usage error: argument --mode: invalid choice: 'telepathy' "
+            "(choose from 'none', 'posterior_sharing', 'likelihood_sharing')"
+        ]
+
+    def test_unwritable_out_dir(self, tmp_path, capsys):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
-        code = cmd_scenario("echo-chamber", "none", str(blocked))
+        code, err = run_main(["scenario", "echo-chamber", "--mode", "none", "--out", str(blocked)], capsys)
         assert code == EXIT_IO
+        assert len(err) == 1 and err[0].startswith("cannot write outputs:")
 
     def test_echo_chamber_outputs(self, tmp_path):
         out = tmp_path / "echo"
@@ -236,8 +254,11 @@ class TestCmdSweep:
         cfg.write_text(SWEEP_CFG)
         return cfg
 
-    def test_missing_config(self, tmp_path):
-        assert cmd_sweep(str(tmp_path / "no.cfg"), 2, str(tmp_path / "out")) == EXIT_IO
+    def test_missing_config(self, tmp_path, capsys):
+        argv = ["sweep", "--config", str(tmp_path / "no.cfg"), "--repeats", "2", "--out", str(tmp_path / "out")]
+        code, err = run_main(argv, capsys)
+        assert code == EXIT_IO
+        assert len(err) == 1 and err[0].startswith("cannot read config:") and "no.cfg" in err[0]
 
     def test_outputs_and_counts(self, tmp_path, capsys):
         cfg = self.write_inputs(tmp_path)
@@ -271,23 +292,40 @@ class TestCmdSweep:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
-    def test_cap_exit_code(self, tmp_path):
+    def test_cap_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(
             "comm_mode = none\nagent = 0 | uniform\nagent = 1 | uniform\nagent = 2 | uniform\n"
         )
-        assert cmd_sweep(str(cfg), 5, str(tmp_path / "out")) == EXIT_CAP
+        argv = ["sweep", "--config", str(cfg), "--repeats", "5", "--out", str(tmp_path / "out")]
+        code, err = run_main(argv, capsys)
+        assert code == EXIT_CAP
+        assert err == ["resource cap: 1012500 trials exceed the cap of 200000"]
 
-    def test_bad_config_usage_exit(self, tmp_path):
+    def test_bad_config_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("comm_mode = wrong\nagent = 0 | uniform\n")
-        assert cmd_sweep(str(cfg), 1, str(tmp_path / "out")) == EXIT_USAGE
+        argv = ["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(tmp_path / "out")]
+        code, err = run_main(argv, capsys)
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("config error: comm_mode (line 1): expected")
 
-
-def run_main(argv, capsys):
-    """Exit code and stderr lines of one CLI invocation."""
-    code = main(argv)
-    return code, capsys.readouterr().err.strip().splitlines()
+    def test_errors_raise_from_commands(self, tmp_path, capsys):
+        # a direct call raises; main alone turns the error into an exit code and one stderr line
+        cfg = self.write_inputs(tmp_path)
+        out = str(tmp_path / "out")
+        with pytest.raises(ConfigError, match="seed"):
+            cmd_scenario("echo-chamber", "none", out, seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            cmd_sweep(str(cfg), 1, out, seed=-1)
+        for argv in (
+            ["scenario", "echo-chamber", "--mode", "none", "--out", out, "--seed", "-1"],
+            ["sweep", "--config", str(cfg), "--repeats", "1", "--out", out, "--seed", "-1"],
+        ):
+            code, err = run_main(argv, capsys)
+            assert code == EXIT_USAGE
+            assert err == ["config error: seed: must be >= 0, got -1"]
+        assert not os.path.exists(out)
 
 
 class TestSweepInputs:
@@ -361,6 +399,10 @@ class TestSweepInputs:
             ("agent = 0 | bump:1,x\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,x,0.5\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,0.5\n", "agent (line 8): prior has 2 entries, world has 3"),
+            ("agent = 0 | bump:1:inf\n", "agent (line 8): a bump weight must be >= 0"),
+            ("agent = 0 | bump:1:-2\n", "agent (line 8): a bump weight must be >= 0"),
+            ("agent = 0 | bump:0,1,2:0\n", "agent (line 8): a bump weight must be >= 0"),
+            ("agent = 0 | bump:1,2:1e308\n", "agent (line 8): a bump weight must be >= 0"),
             ("agent = x | uniform\n", "agent (line 8): expected"),
             ("agent = 0 uniform\n", "agent (line 8): expected"),
             ("agent = 7 | uniform\n", "agents[1].start_node: 7 out of range"),
@@ -391,6 +433,17 @@ class TestSweepInputs:
         assert code == EXIT_CAP
         assert len(err) == 1 and "5001 nodes" in err[0]
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "fixture, line", [("0: 1\n1: 0\n{big}: 0\n", 3), ("0: {big}\n1: 0\n", 1)]
+    )
+    def test_fixture_number_too_long_to_read(self, tmp_path, capsys, fixture, line):
+        # 5,000 digits is past the 4,300 that int() reads
+        (tmp_path / "long.txt").write_text(fixture.format(big="9" * 5000))
+        code, err, out = self.sweep(tmp_path, capsys, "graph = long.txt\n")
+        assert code == EXIT_CAP
+        assert err == [f"resource cap: graph fixture line {line}: a node number is over the cap of 1000"]
+        assert not out.exists()
 
     def test_steps_cap(self, tmp_path, capsys):
         # an agent that cannot see the object would walk all 10**9 steps of every trial
@@ -502,7 +555,7 @@ class TestSweepInputs:
         (tmp_path / "bad.txt").write_text(fixture)
         code, err, _ = self.sweep(tmp_path, capsys, "graph = bad.txt\n")
         assert code == EXIT_USAGE
-        assert len(err) == 1 and err[0] == f"error: {words}"
+        assert len(err) == 1 and err[0] == f"config error: {words}"
 
     def test_out_is_a_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("a file, not a directory")
