@@ -141,12 +141,10 @@ class PlannerContext:
         """Location beliefs (..., n) moved by every action: shape (..., n_actions, n).
 
         Action a keeps the mass of nodes not adjacent to a and collects the
-        rest on node a. A 2-D ``locs`` makes the moved mass one matrix
-        product; a stack of single rows makes it one matrix-vector product
-        per row, which rounds exactly as a single belief's move does.
+        rest on node a, through the product rule of ``_rows_times``.
         """
         out = locs[..., None, :] * self.stay
-        out[..., self.nodes, self.nodes] = locs @ self.adj.T
+        out[..., self.nodes, self.nodes] = _rows_times(locs, self.adj.T)
         return out
 
     def _loc_entropy(self, x):
@@ -165,21 +163,24 @@ class PlannerContext:
         which makes an outcome's probability ``off + beta * x``, x the
         belief on its node.
         """
-        mass = locs @ self.adj.T
+        stay = self.stay.T
+        mass = _rows_times(locs, self.adj.T)
         score = np.zeros(mass.shape)
         w = self.w_loc if self.observe_location else 0.0
         if self.observe_visibility:
             c = (self.A2[world.VISIBLE] @ objs).swapaxes(1, 2)
-            q = (locs * c) @ self.stay.T + mass * c
+            q = _rows_times(locs * c, stay) + mass * c
             score += q * floored_log(q) + (1.0 - q) * floored_log(1.0 - q)
             score -= self.visible_bonus * q
             w = w + (self.w_vis @ objs).swapaxes(1, 2)
         if self.observe_location:
-            score += self._loc_entropy(locs) @ self.stay.T + self.emptied
+            score += _rows_times(self._loc_entropy(locs), stay) + self.emptied
             score += self._loc_entropy(mass)
-        return score - ((locs * w) @ self.stay.T + mass * w)
+        return score - (_rows_times(locs * w, stay) + mass * w)
 
-    def scores(self, loc: np.ndarray, obj: np.ndarray, horizon: int) -> np.ndarray:
+    def scores(
+        self, loc: np.ndarray, obj: np.ndarray, horizon: int, first: np.ndarray | None = None
+    ) -> np.ndarray:
         """G over all n_actions**horizon policies in lexicographic order.
 
         One belief pair gives G of shape (P,); stacks of R location and
@@ -187,15 +188,30 @@ class PlannerContext:
         moved beliefs. A row goes through the same matrix products as a
         single belief, so it does not depend on the stack around it. The
         object never moves: every step scores against the same belief.
+        ``first`` is the first step's scores of these beliefs, as
+        ``scores(loc, obj, 1)`` gives them; a caller that scored the first
+        step over a larger stack passes its rows and skips that step.
         """
         locs = np.atleast_2d(loc)[:, None]
         objs = np.atleast_2d(obj)[:, :, None]
-        G = self._move_scores(locs, objs).reshape(len(locs), -1)
+        G = self._move_scores(locs, objs).reshape(len(locs), -1) if first is None else np.atleast_2d(first)
         for _ in range(horizon - 1):
             # every current trajectory extended by every action
             locs = self.moves(locs).reshape(len(locs), -1, locs.shape[-1])
             G = (G[..., None] + self._move_scores(locs, objs)).reshape(len(locs), -1)
         return G if np.ndim(loc) > 1 else G[0]
+
+
+def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for a (R, K, n) stack, by the product whose rounding keeps each row's bits.
+
+    A stack of single rows (K = 1) takes one matrix-vector product per
+    row, as a single belief does; deeper stacks take one 2-D product,
+    which rounds each row as the per-matrix products do.
+    """
+    if x.shape[-2] == 1:
+        return x @ m
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
 
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:

@@ -9,16 +9,21 @@ CSV bytes.
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_trials`` hands it batches of
-TRIALS_PER_BATCH trials, scored ``planning.rows_per_call`` beliefs at a
-time; ``run_trial`` is its batch of one and records the trace the
-scenario exports write. The kernel computes what the contract operations
-(model.perceive, comms.broadcast_round, PlannerContext.scores) compute
-one agent at a time; the tests hold the two paths to agreement within 1e-12.
+TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and records
+the trace the scenario exports write. Each step scores the first policy
+step of every belief in one call, and the deeper steps
+``planning.rows_per_call`` beliefs at a time. A planned or frozen trial
+draws all its uniforms as one block when its batch starts; the random
+walk draws step by step. Beliefs are updated only where a planner or a
+trace reads them, so an untraced random walk steps positions and draws
+alone. The kernel computes what the contract operations (model.perceive,
+comms.broadcast_round, PlannerContext.scores) compute one agent at a
+time; the tests hold the two paths to agreement within 1e-12.
 """
 
+import concurrent.futures
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -35,6 +40,8 @@ SWEEP_TRIAL_CAP = 200_000
 STEP_CAP = 1_000
 AGENT_CAP = 64
 TRIALS_PER_BATCH = 256
+# A batch's block of uniforms: the shipped sweep's 256 trials x 20 steps x 6 draws (240 KiB) fit in one.
+DRAW_BYTES = 1 << 20
 # Largest temperature and |visible_bonus|. With the horizon capped, a policy's score is
 # |G| <= HORIZON_CAP * (log 2 + log n + |visible_bonus|): temperature * |G| stays far inside float range.
 SCALE_BOUND = 1e6
@@ -273,22 +280,25 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
     return softmax(total), payloads
 
 
-def _choose_actions(config, planner, positions, locs, objs, rngs) -> np.ndarray:
-    """Every agent's move target: frozen, uniform at random, or sampled from its scores."""
+def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
+    """Every agent's move target, sampled from its policy scores at the (B, agents) uniforms u."""
     n = config.graph.n_nodes
-    if config.movement == FROZEN:
-        return positions
-    if config.action_policy == RANDOM:
-        return np.array([rng.integers(n, size=positions.shape[1]) for rng in rngs])
-    u = np.concatenate([rng.random(positions.shape[1]) for rng in rngs])
+    shape = u.shape
+    locs, objs, u = locs.reshape(-1, n), objs.reshape(-1, n), u.ravel()
+    # the first step is a matrix-vector product per row, and its scores are the size of the
+    # beliefs: one call scores every row
+    first = planner.scores(locs, objs, 1)
     rows = planning.rows_per_call(n, config.horizon)
-    # each chunk is sampled as soon as it is scored: no (batch, policies) array is held
-    chunks = (np.split(a, range(rows, len(u), rows)) for a in (locs.reshape(-1, n), objs.reshape(-1, n), u))
+    # deeper steps go by chunk, each sampled as soon as it is scored: no (rows, policies) array is held
     policies = np.concatenate([
-        planning.sample_policy_index(planner.scores(loc, obj, config.horizon), config.temperature, draw)
-        for loc, obj, draw in zip(*chunks)
+        planning.sample_policy_index(
+            planner.scores(locs[k : k + rows], objs[k : k + rows], config.horizon, first[k : k + rows]),
+            config.temperature,
+            u[k : k + rows],
+        )
+        for k in range(0, len(u), rows)
     ])
-    return (policies // n ** (config.horizon - 1)).reshape(positions.shape)
+    return (policies // n ** (config.horizon - 1)).reshape(shape)
 
 
 def _step_trials(config, planner, starts, objects, seeds, trace=None):
@@ -299,9 +309,15 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
     Every stage runs on (B, agents, nodes) belief arrays, and a trial that
     finds the object leaves the batch. Each trial draws from its own
     generator as alone: per step a location and a visibility draw per
-    agent, then one action draw per agent. ``trace`` is a BeliefTrace.empty
-    of the batch to fill, or None. Returns each trial's step of finding
-    the object, 0 where it did not.
+    agent, then one action draw per agent. A planned or frozen trial draws
+    these uniforms as one block when the batch starts, or one block per
+    span of steps where the batch's blocks would pass DRAW_BYTES; the
+    stream of doubles is the same. The random walk draws step by step,
+    since its integer actions take the generator's cached half-words.
+    Beliefs are updated only where a planner or ``trace`` reads them, so
+    the random walk without a trace steps positions and draws alone.
+    ``trace`` is a BeliefTrace.empty of the batch to fill, or None.
+    Returns each trial's step of finding the object, 0 where it did not.
     """
     n = config.graph.n_nodes
     positions = np.array(starts)
@@ -314,11 +330,21 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
     objs = np.tile([s.object_prior for s in config.agents], (n_trials, 1, 1))
     found_at = np.zeros(n_trials, dtype=int)
     draw_visibility = config.observe_visibility and config.forced_visibility is None
+    observe = config.observe_location or draw_visibility
+    walk = config.movement == FREE and config.action_policy == RANDOM
+    plan = config.movement == FREE and config.action_policy == PLANNED
+    update_beliefs = plan or trace is not None  # read by the planner or the trace
+    obs_width = 2 * n_agents * observe  # uniforms per trial and step: observations, then actions
+    width = obs_width + n_agents * plan
+    span = 1 if walk else max(1, min(config.steps, DRAW_BYTES // (8 * max(width, 1) * n_trials)))
+    draws = np.empty((n_trials, 0))  # filled at step 0 when the trials draw anything
 
     for t in range(config.steps):
+        if width and t % span == 0:
+            draws = np.array([rng.random(span * width) for rng in rngs]).reshape(len(rngs), span, width)
         loc_obs = vis_obs = None
-        if config.observe_location or draw_visibility:
-            u = np.array([rng.random((n_agents, 2)) for rng in rngs])
+        if observe:
+            u = draws[:, t % span, :obs_width].reshape(-1, n_agents, 2)
             drawn = world.env_observe(positions, obj_nodes, u, planner.cum_A1, planner.A2)
             if config.observe_location:
                 loc_obs = drawn[0]
@@ -327,8 +353,9 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
         if config.forced_visibility is not None:
             vis_obs = np.full(positions.shape, config.forced_visibility)
 
-        locs, own_objs, prior_obj, vis_msgs = _perceive(planner, locs, objs, loc_obs, vis_obs)
-        objs, payloads = _share(config.comm_mode, prior_obj, own_objs, vis_msgs)
+        if update_beliefs:
+            locs, own_objs, prior_obj, vis_msgs = _perceive(planner, locs, objs, loc_obs, vis_obs)
+            objs, payloads = _share(config.comm_mode, prior_obj, own_objs, vis_msgs)
 
         if trace is not None:
             trace.object_beliefs[t, live] = objs
@@ -345,19 +372,25 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
             hit = ((positions == obj_nodes) & (vis_obs == world.VISIBLE)).any(axis=1)
             found_at[live[hit]] = t + 1
             if hit.any():
-                live, positions, locs, objs, obj_nodes = (
-                    a[~hit] for a in (live, positions, locs, objs, obj_nodes)
+                live, positions, locs, objs, obj_nodes, draws = (
+                    a[~hit] for a in (live, positions, locs, objs, obj_nodes, draws)
                 )
                 rngs = [rng for rng, done in zip(rngs, hit) if not done]
         if t == config.steps - 1 or not live.size:
             break
 
-        actions = _choose_actions(config, planner, positions, locs, objs, rngs)
+        if plan:
+            actions = _choose_actions(config, planner, locs, objs, draws[:, t % span, obs_width:])
+        elif walk:
+            actions = np.array([rng.integers(n, size=n_agents) for rng in rngs])
+        else:
+            actions = positions
         if trace is not None:
             trace.actions[t, live] = actions
-        # one-row stacks keep each agent's move a matrix-vector product
-        moved = planner.moves(locs.reshape(-1, 1, n))[np.arange(actions.size), 0, actions.ravel()]
-        locs = moved.reshape(locs.shape)
+        if update_beliefs:
+            # one-row stacks keep each agent's move a matrix-vector product
+            moved = planner.moves(locs.reshape(-1, 1, n))[np.arange(actions.size), 0, actions.ravel()]
+            locs = moved.reshape(locs.shape)
         positions = world.env_step(positions, actions, config.graph)
     return found_at
 
@@ -548,14 +581,16 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
 
     # Trial ids run mode by mode, then by combination, then by repeat; each
     # worker takes every jobs-th trial of each mode.
-    jobs = worker_count(jobs, len(combos) * len(modes), os.cpu_count())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = worker_count(jobs, len(combos) * len(modes), cpus)
     calls = [
         (template, mode, starts[k::jobs], objects[k::jobs], seeds[k::jobs])
         for mode in modes
         for k in range(jobs)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool's modules load only here: a serial sweep never imports them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(run_trials, *zip(*calls)))
     else:
         parts = [run_trials(*call) for call in calls]

@@ -5,7 +5,6 @@ the move succeeds when the target neighbours the current node, otherwise the
 agent stays put, which keeps every dynamics column exactly stochastic.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,12 @@ class WorldGraph:
         adj = adj | adj.T
         np.fill_diagonal(adj, True)
         self.adjacency = adj
-        if not self._connected():
-            warnings.warn("world graph is not connected", stacklevel=2)
+        unreached = self._unreached()
+        if unreached is not None:
+            raise ConfigError(f"graph: node {unreached} cannot be reached from node 0")
 
-    def _connected(self) -> bool:
+    def _unreached(self) -> int | None:
+        """The lowest node no path from node 0 reaches, or None when the graph is connected."""
         seen = {0}
         frontier = [0]
         while frontier:
@@ -58,7 +59,7 @@ class WorldGraph:
                 if nb not in seen:
                     seen.add(int(nb))
                     frontier.append(int(nb))
-        return len(seen) == self.n_nodes
+        return min(set(range(self.n_nodes)) - seen, default=None)
 
     def neighbours(self, node: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[node])

@@ -454,6 +454,15 @@ class TestSweepInputs:
         assert len(err) == 1 and err[0] == "resource cap: steps: 1000000000 is over the cap of 1000"
         assert not out.exists()
 
+    def test_disconnected_graph_fixture(self, tmp_path, capsys):
+        # two nodes and no edge: the object on node 1 is out of reach from node 0
+        (tmp_path / "split.txt").write_text("0:\n1:\n")
+        base = "graph = split.txt\ncomm_mode = none\nsteps = 2\nagent = 0 | uniform\nsweep_modes = none\n"
+        code, err, out = self.sweep(tmp_path, capsys, base=base)
+        assert code == EXIT_USAGE
+        assert err == ["config error: graph: node 1 cannot be reached from node 0"]
+        assert not out.exists()
+
     def test_missing_graph_fixture_is_io_error(self, tmp_path, capsys):
         code, err, _ = self.sweep(tmp_path, capsys, "graph = missing.txt\n")
         assert code == EXIT_IO
@@ -569,6 +578,13 @@ class TestMain:
         # SciPy is a test-only dependency: the package must not import it
         src = Path(cli.__file__).resolve().parents[1]
         code = "import beliefshare.cli, sys; assert 'scipy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only a sweep at --jobs 2 or more loads the pool's modules
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import beliefshare.cli, sys; assert 'multiprocessing' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 

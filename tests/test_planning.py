@@ -271,6 +271,12 @@ class TestStackedScores:
         assert stacked.shape == (rows, n**horizon)
         assert np.abs(stacked - single).max() <= 1e-12
         assert np.array_equal(stacked, single)
+        # the trial kernel's path: the first step over the whole stack, deeper steps two rows a call
+        first = planner.scores(locs, objs, 1)
+        batched = np.concatenate([
+            planner.scores(locs[k : k + 2], objs[k : k + 2], horizon, first[k : k + 2]) for k in range(0, rows, 2)
+        ])
+        assert np.array_equal(batched, single)
 
     def test_rows_per_call(self):
         # one 15-node, horizon-2 belief scores 225 policies, 1,800 bytes

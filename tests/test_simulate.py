@@ -1,5 +1,7 @@
 """Trial loop semantics, canonical scenarios, and the sweep machinery."""
 
+import concurrent.futures
+import os
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -192,6 +194,69 @@ class TestTrialLoopEquivalence:
             alone = run_trial(replace(config, agents=[agents[i]])).trace
             assert np.array_equal(together.object_beliefs[:, i], alone.object_beliefs[:, 0])
             assert np.array_equal(together.location_beliefs[:, i], alone.location_beliefs[:, 0])
+
+
+class TestDraws:
+    """What the trial step draws, and what it skips when nothing reads it."""
+
+    def test_planned_trial_draws_stepwise_stream(self):
+        # each step a location and a visibility draw per agent, then an action draw per agent
+        config = sweep_style_config((3, 12), None, CommMode.LIKELIHOOD_SHARING, 21, steps=7)
+        trace = run_trial(config).trace
+        planner = planner_context(config)
+        rng = np.random.default_rng(config.seed)
+        positions = np.array([3, 12])
+        for t in range(config.steps):
+            drawn = world.env_observe(positions, None, rng.random((2, 2)), planner.cum_A1, planner.A2)
+            assert np.array_equal(trace.observations[t], np.stack(drawn, axis=-1))
+            if t < config.steps - 1:
+                rng.random(2)
+                positions = world.env_step(positions, trace.actions[t], GRAPH)
+
+    def test_random_walk_skips_beliefs_nothing_reads(self, monkeypatch):
+        template = sweep_template(GRAPH, 2, steps=6)
+        starts, objects, seeds = [[0, 7], [3, 3], [14, 1]], [12, 5, 1], [8, 9, 10]
+        expected = run_trials(template, "random", starts, objects, seeds)
+
+        def unread(*args):
+            raise AssertionError("a random-walk sweep perceived")
+
+        monkeypatch.setattr(simulate, "_perceive", unread)
+        assert np.array_equal(run_trials(template, "random", starts, objects, seeds), expected)
+        monkeypatch.undo()
+        # a trace reads the beliefs, so a traced random walk still updates them
+        config = replace(template, object_location=None, action_policy="random")
+        beliefs = run_trial(config).trace.location_beliefs
+        assert beliefs.shape == (6, 2, 15)
+        assert np.allclose(beliefs.sum(axis=-1), 1.0) and not np.array_equal(beliefs[0], beliefs[-1])
+
+    def test_draw_blocks_split_into_spans(self, monkeypatch):
+        template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
+        rng = np.random.default_rng(5)
+        starts, objects = rng.integers(15, size=(20, 2)), rng.integers(15, size=20)
+        seeds = [trial_seed(6, k) for k in range(20)]
+        whole = run_trials(template, "likelihood_sharing", starts, objects, seeds)
+        # blocks of three steps: 20 trials x 6 uniforms a step
+        monkeypatch.setattr(simulate, "DRAW_BYTES", 3 * 8 * 6 * 20)
+        assert np.array_equal(run_trials(template, "likelihood_sharing", starts, objects, seeds), whole)
+        assert len(set(whole.tolist())) >= 3  # unfound trials, and finds at two or more steps
+
+    def test_draw_blocks_held_within_budget(self):
+        # 256 trials x 1,000 steps x 64 agents' two draws would be one 262 MB block
+        one_node = world.WorldGraph(1, np.ones((1, 1)))
+        template = ScenarioConfig(
+            graph=one_node, agents=[AgentSpec(0, np.ones(1)) for _ in range(64)], comm_mode=CommMode.NONE,
+            steps=simulate.STEP_CAP, observe_visibility=False, movement="frozen",
+        )
+        starts, objects = np.zeros((256, 64), dtype=int), np.zeros(256, dtype=int)
+        tracemalloc.start()
+        try:
+            found = run_trials(template, "none", starts, objects, range(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not found.any()
+        assert peak < 8 * simulate.DRAW_BYTES
 
 
 class TestDeterminism:
@@ -623,11 +688,11 @@ class TestTrialBatches:
         positions = rng.integers(15, size=(256, 2))
         locs = np.eye(15)[positions]
         objs = rng.dirichlet(np.ones(15), size=(256, 2))
-        rngs = [np.random.default_rng(k) for k in range(256)]
-        simulate._choose_actions(config, planner, positions, locs, objs, rngs)  # warm up
+        u = rng.random((256, 2))
+        simulate._choose_actions(config, planner, locs, objs, u)  # warm up
         tracemalloc.start()
         try:
-            actions = simulate._choose_actions(config, planner, positions, locs, objs, rngs)
+            actions = simulate._choose_actions(config, planner, locs, objs, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -645,6 +710,17 @@ class TestTrialBatches:
 
 
 class TestWorkerCount:
+    def test_sweep_capped_at_usable_cpus(self, monkeypatch):
+        # one CPU this process may run on: a jobs=2 sweep runs serially and builds no pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        template = sweep_template(TestSweep.SMALL, seed=11)
+        capped = run_sweep(template, modes=("none",), repeats=2, jobs=2)
+        assert np.array_equal(capped.found_at, run_sweep(template, modes=("none",), repeats=2).found_at)
+
     def test_clamped_to_cpus_and_tasks(self):
         assert worker_count(8, 100, 2) == 2
         assert worker_count(8, 3, 16) == 3

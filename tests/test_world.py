@@ -64,9 +64,11 @@ class TestWorldGraph:
             with pytest.raises(ConfigError, match="line 2"):
                 parse_graph_text(f"0: 1\n{bad}\n")
 
-    def test_disconnected_warns(self):
-        with pytest.warns(UserWarning):
+    def test_disconnected_rejected(self):
+        with pytest.raises(ConfigError, match="^graph: node 2 cannot be reached from node 0$"):
             WorldGraph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(ConfigError, match="node 1 cannot"):
+            parse_graph_text("0:\n1:\n")
 
 
 class TestBuilders:
