@@ -22,6 +22,9 @@ HORIZON_CAP = POLICY_CAP.bit_length() - 1
 # Bytes of one (beliefs, policies) float array in a stacked scores call:
 # 36 beliefs on the 15-node grid at horizon 2.
 SCORE_BYTES = 1 << 16
+# A move whose target's neighbourhood holds less belief than this changes no entry of a
+# belief by half an ulp of 1 or more: it leaves the belief unchanged to float64 precision.
+INERT_MASS = np.finfo(float).eps / 2
 
 
 @dataclass
@@ -127,7 +130,9 @@ class PlannerContext:
         self.log_A1 = floored_log(A1)
         self.log_A2 = floored_log(A2)
         self.cum_A1 = np.cumsum(A1, axis=0)
-        self.w_vis = (A2 * self.log_A2).sum(axis=0)
+        # object-side tables as C-ordered (object, location) matrices: objects @ them give location terms
+        self.vis_T = np.ascontiguousarray(A2[world.VISIBLE].T)
+        self.w_vis_T = np.ascontiguousarray((A2 * self.log_A2).sum(axis=0).T)
         self.w_loc = (A1 * self.log_A1).sum(axis=0)
         self.off = A1[0, 1] if model.n_nodes > 1 else 0.0
         self.beta = A1[0, 0] - self.off
@@ -141,10 +146,20 @@ class PlannerContext:
         """Location beliefs (..., n) moved by every action: shape (..., n_actions, n).
 
         Action a keeps the mass of nodes not adjacent to a and collects the
-        rest on node a, through the product rule of ``_rows_times``.
+        rest, the neighbourhood mass of its target, on node a. That mass is
+        one 2-D ``_rows_times`` product over the flattened stack, a lone
+        row doubled so that gemm rounds it: a row's bits do not depend on
+        the stack around it.
         """
         out = locs[..., None, :] * self.stay
-        out[..., self.nodes, self.nodes] = _rows_times(locs, self.adj.T)
+        out[..., self.nodes, self.nodes] = _rows_times(locs, self.adj)
+        return out
+
+    def move(self, locs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Location beliefs (R, n) each moved by its row's action: the rule and product of ``moves``."""
+        rows = np.arange(len(locs))
+        out = locs * self.stay[actions]
+        out[rows, actions] = _rows_times(locs, self.adj)[rows, actions]
         return out
 
     def _loc_entropy(self, x):
@@ -153,30 +168,29 @@ class PlannerContext:
         return y * floored_log(y)
 
     def _move_scores(self, locs: np.ndarray, objs: np.ndarray) -> np.ndarray:
-        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n, 1) objects.
+        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n) objects.
 
         Returns (R, K, n_actions) from per-node sums, without building the
         moved beliefs. A move to a keeps the nodes not adjacent to a and
         puts the ``mass`` of the rest on a, so a linear term L'.w is
-        (L * w) @ stay.T + mass * w. The location entropy sums over nodes
+        (L * w) @ stay + mass * w. The location entropy sums over nodes
         the same way; this relies on the structure of ``world.build_A1``,
         which makes an outcome's probability ``off + beta * x``, x the
         belief on its node.
         """
-        stay = self.stay.T
-        mass = _rows_times(locs, self.adj.T)
+        mass = _rows_times(locs, self.adj)
         score = np.zeros(mass.shape)
         w = self.w_loc if self.observe_location else 0.0
         if self.observe_visibility:
-            c = (self.A2[world.VISIBLE] @ objs).swapaxes(1, 2)
-            q = _rows_times(locs * c, stay) + mass * c
+            c = _rows_times(objs, self.vis_T)[:, None]
+            q = _rows_times(locs * c, self.stay) + mass * c
             score += q * floored_log(q) + (1.0 - q) * floored_log(1.0 - q)
             score -= self.visible_bonus * q
-            w = w + (self.w_vis @ objs).swapaxes(1, 2)
+            w = w + _rows_times(objs, self.w_vis_T)[:, None]
         if self.observe_location:
-            score += _rows_times(self._loc_entropy(locs), stay) + self.emptied
+            score += _rows_times(self._loc_entropy(locs), self.stay) + self.emptied
             score += self._loc_entropy(mass)
-        return score - (_rows_times(locs * w, stay) + mass * w)
+        return score - (_rows_times(locs * w, self.stay) + mass * w)
 
     def scores(
         self, loc: np.ndarray, obj: np.ndarray, horizon: int, first: np.ndarray | None = None
@@ -184,34 +198,53 @@ class PlannerContext:
         """G over all n_actions**horizon policies in lexicographic order.
 
         One belief pair gives G of shape (P,); stacks of R location and
-        object beliefs give (R, P). Only the steps before the last build
-        moved beliefs. A row goes through the same matrix products as a
-        single belief, so it does not depend on the stack around it. The
-        object never moves: every step scores against the same belief.
-        ``first`` is the first step's scores of these beliefs, as
-        ``scores(loc, obj, 1)`` gives them; a caller that scored the first
-        step over a larger stack passes its rows and skips that step.
+        object beliefs give (R, P). The object never moves: every step
+        scores against the same belief. ``first`` is the first step's
+        scores of these beliefs, as ``scores(loc, obj, 1)`` gives them; a
+        caller that scored the first step over a larger stack passes its
+        rows and skips that step.
+
+        Later steps are scored only after first moves that shift belief.
+        A first move whose target's neighbourhood holds less than
+        INERT_MASS (eps / 2) changes each entry of the belief by under
+        eps / 2, so it leaves the belief unchanged to float64 precision: a
+        trajectory that starts with it scores each later step as the
+        trajectory without it scored the step before. Every product is one
+        2-D ``_rows_times`` product over the flattened stack, a lone row
+        doubled so that gemm, not gemv, rounds it: a row's scores do not
+        depend on the stack around it.
         """
-        locs = np.atleast_2d(loc)[:, None]
-        objs = np.atleast_2d(obj)[:, :, None]
-        G = self._move_scores(locs, objs).reshape(len(locs), -1) if first is None else np.atleast_2d(first)
-        for _ in range(horizon - 1):
+        locs = np.atleast_2d(loc)
+        objs = np.atleast_2d(obj)
+        n = locs.shape[-1]
+        G = self._move_scores(locs[:, None], objs)[:, 0] if first is None else np.atleast_2d(first)
+        step = G[:, None]  # (R, trajectories, n_actions): the last scored step
+        for depth in range(1, horizon):
             # every current trajectory extended by every action
-            locs = self.moves(locs).reshape(len(locs), -1, locs.shape[-1])
-            G = (G[..., None] + self._move_scores(locs, objs)).reshape(len(locs), -1)
+            locs = self.moves(locs)
+            if depth == 1:
+                # only the first moves that shift belief go on
+                shifts = locs[:, self.nodes, self.nodes] >= INERT_MASS
+                locs, objs = locs[shifts], objs[np.nonzero(shifts)[0]]
+            locs = locs.reshape(len(locs), -1, n)
+            # after an inert first move, a step scores as the step before did without that move
+            later = np.repeat(step[:, None], n, axis=1)
+            later[shifts] = self._move_scores(locs, objs)
+            step = later.reshape(len(G), -1, n)
+            G = (G[..., None] + step).reshape(len(G), -1)
         return G if np.ndim(loc) > 1 else G[0]
 
 
 def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for a (R, K, n) stack, by the product whose rounding keeps each row's bits.
+    """x @ m for the C-ordered square matrix m, as one 2-D product over the rows of x (..., n).
 
-    A stack of single rows (K = 1) takes one matrix-vector product per
-    row, as a single belief does; deeper stacks take one 2-D product,
-    which rounds each row as the per-matrix products do.
+    Every row then rounds as it would in any other stack. numpy hands a
+    one-row product to gemv, which rounds differently from gemm, so a
+    lone row is doubled before the product.
     """
-    if x.shape[-2] == 1:
-        return x @ m
-    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
+    rows = x.reshape(-1, x.shape[-1])
+    out = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ m
+    return out[: len(rows)].reshape(x.shape)
 
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:

@@ -12,7 +12,8 @@ trial that finds the object leaves it. ``run_trials`` hands it batches of
 TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and records
 the trace the scenario exports write. Each step scores the first policy
 step of every belief in one call, and the deeper steps
-``planning.rows_per_call`` beliefs at a time. A planned or frozen trial
+``planning.rows_per_call`` beliefs at a time, and only after the first
+moves that shift the belief. A planned or frozen trial
 draws all its uniforms as one block when its batch starts; the random
 walk draws step by step. Beliefs are updated only where a planner or a
 trace reads them, so an untraced random walk steps positions and draws
@@ -21,7 +22,6 @@ comms.broadcast_round, PlannerContext.scores) compute one agent at a
 time; the tests hold the two paths to agreement within 1e-12.
 """
 
-import concurrent.futures
 import hashlib
 import os
 from dataclasses import dataclass, replace
@@ -285,8 +285,7 @@ def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
     n = config.graph.n_nodes
     shape = u.shape
     locs, objs, u = locs.reshape(-1, n), objs.reshape(-1, n), u.ravel()
-    # the first step is a matrix-vector product per row, and its scores are the size of the
-    # beliefs: one call scores every row
+    # the first step's scores are the size of the beliefs: one call scores every row
     first = planner.scores(locs, objs, 1)
     rows = planning.rows_per_call(n, config.horizon)
     # deeper steps go by chunk, each sampled as soon as it is scored: no (rows, policies) array is held
@@ -388,9 +387,7 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
         if trace is not None:
             trace.actions[t, live] = actions
         if update_beliefs:
-            # one-row stacks keep each agent's move a matrix-vector product
-            moved = planner.moves(locs.reshape(-1, 1, n))[np.arange(actions.size), 0, actions.ravel()]
-            locs = moved.reshape(locs.shape)
+            locs = planner.move(locs.reshape(-1, n), actions.ravel()).reshape(locs.shape)
         positions = world.env_step(positions, actions, config.graph)
     return found_at
 
@@ -590,6 +587,8 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
     ]
     if jobs > 1:
         # the pool's modules load only here: a serial sweep never imports them
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(run_trials, *zip(*calls)))
     else:

@@ -582,9 +582,10 @@ class TestMain:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     def test_import_leaves_process_pool_unloaded(self):
-        # only a sweep at --jobs 2 or more loads the pool's modules
+        # only a sweep at --jobs 2 or more loads the pool's modules, and logging with them
         src = Path(cli.__file__).resolve().parents[1]
-        code = "import beliefshare.cli, sys; assert 'multiprocessing' not in sys.modules"
+        unloaded = ("multiprocessing", "concurrent.futures", "logging")
+        code = f"import beliefshare.cli, sys; assert not set({unloaded}) & set(sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 

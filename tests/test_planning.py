@@ -18,6 +18,7 @@ from beliefshare.inference import (
 from beliefshare.model import BeliefState, initial_state, make_agent_model
 from beliefshare.planning import (
     HORIZON_CAP,
+    INERT_MASS,
     SCORE_BYTES,
     PlannerContext,
     enumerate_policies,
@@ -217,8 +218,10 @@ class TestMovementRule:
         locs = rng.dirichlet(np.ones(n), size=3)
         dense = np.einsum("ija,kj->kai", B1, locs)  # belief k moved by action a
         assert np.abs(planner.moves(locs) - dense).max() <= 1e-12
-        # the trial loop's form: a stack of one-row beliefs
         assert np.abs(planner.moves(locs[:, None])[:, 0] - dense).max() <= 1e-12
+        # the trial loop's form: one action per belief
+        actions = rng.integers(n, size=3)
+        assert np.array_equal(planner.move(locs, actions), planner.moves(locs)[np.arange(3), actions])
 
     def test_context_holds_no_cubic_array(self):
         model, _ = grid_model()
@@ -277,6 +280,46 @@ class TestStackedScores:
             planner.scores(locs[k : k + 2], objs[k : k + 2], horizon, first[k : k + 2]) for k in range(0, rows, 2)
         ])
         assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_peaked_beliefs_match_expected_free_energy(self, horizon):
+        # the kernel's location beliefs: one node at ~1 and tails of 1e-20 to 1e-17, where most first
+        # moves shift less than INERT_MASS; one node's neighbourhood holds just below or just above
+        # it, or ~1e-9, which a looser rule would leave unscored
+        graph = world.WorldGraph.grid(1, 6)
+        n, edge = graph.n_nodes, 5
+        rng = np.random.default_rng(horizon)
+        model = make_agent_model(graph, 0, np.ones(n) / n, 2.0)
+        planner = PlannerContext(model)
+        policies = enumerate_policies(n, horizon)
+        for peak, scale in product((0, 1), (1 - 1e-3, 1 + 1e-3, 1e7)):
+            loc = 10.0 ** rng.uniform(-20, -17, n)
+            ring = graph.adjacency[edge].astype(bool)
+            loc[edge] = INERT_MASS * scale - loc[ring].sum() + loc[edge]
+            loc[peak] = 1.0 - (loc.sum() - loc[peak])
+            mass = planner.moves(loc)[np.arange(n), np.arange(n)]
+            assert (mass[edge] >= INERT_MASS) == (scale > 1)
+            assert (mass < INERT_MASS).any() and (mass >= INERT_MASS).sum() > 1
+            obj = rng.dirichlet(np.ones(n))
+            state = BeliefState(CategoricalBelief(world.LOCATION, loc), CategoricalBelief(world.OBJECT, obj))
+            G_ref = np.array([expected_free_energy(model, state, p).G for p in policies])
+            assert np.abs(planner.scores(loc, obj, horizon) - G_ref).max() <= 1e-12
+
+    def test_one_shifting_move(self):
+        # on one node the only first move shifts belief: a single belief scores its later steps as a
+        # lone row, which must round as the same row in a stack
+        graph = world.WorldGraph.from_edges(1, [])
+        model = make_agent_model(graph, 0, np.ones(1))
+        planner = PlannerContext(model)
+        ones = np.ones((3, 1))
+        for horizon in (1, 2, 3):
+            stacked = planner.scores(ones, ones, horizon)
+            first = planner.scores(ones, ones, 1)
+            chunks = [planner.scores(row, row, horizon, f) for row, f in zip(ones[:, None], first[:, None])]
+            assert np.array_equal(np.concatenate(chunks), stacked)
+            assert np.array_equal(planner.scores(ones[0], ones[0], horizon), stacked[0])
+            G_ref = expected_free_energy(model, initial_state(model), (0,) * horizon).G
+            assert abs(stacked[0, 0] - G_ref) <= 1e-12
 
     def test_rows_per_call(self):
         # one 15-node, horizon-2 belief scores 225 policies, 1,800 bytes

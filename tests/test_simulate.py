@@ -655,13 +655,14 @@ class TestTrialBatches:
             assert len(finds) >= 3  # unfound trials, and finds at two or more steps
 
     def test_scoring_splits_agents_over_calls(self, monkeypatch):
-        # two beliefs per scoring call: one three-agent trial needs two calls
-        monkeypatch.setattr(planning, "SCORE_BYTES", 2 * 8 * 15**2)
+        # two beliefs per scoring call: one three-agent trial needs two calls; one belief per call
+        # scores every belief alone
         template = sweep_template(GRAPH, 3, steps=6, temperature=4.0)
         starts, objects, seeds = [[0, 7, 14], [3, 3, 9]], [12, 5], [8, 9]
-        batched = run_trials(template, "likelihood_sharing", starts, objects, seeds)
-        monkeypatch.undo()
-        assert np.array_equal(batched, run_trials(template, "likelihood_sharing", starts, objects, seeds))
+        whole = run_trials(template, "likelihood_sharing", starts, objects, seeds)
+        for rows in (2, 1):
+            monkeypatch.setattr(planning, "SCORE_BYTES", rows * 8 * 15**2)
+            assert np.array_equal(run_trials(template, "likelihood_sharing", starts, objects, seeds), whole)
 
     def test_rows_independent_of_batch_size(self, monkeypatch):
         template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
@@ -720,6 +721,29 @@ class TestWorkerCount:
         template = sweep_template(TestSweep.SMALL, seed=11)
         capped = run_sweep(template, modes=("none",), repeats=2, jobs=2)
         assert np.array_equal(capped.found_at, run_sweep(template, modes=("none",), repeats=2).found_at)
+
+    def test_sweep_runs_the_pool_of_the_module(self, monkeypatch):
+        # the pool's module loads inside run_sweep, and its attribute is read there: a patched pool runs
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        built = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        template = sweep_template(TestSweep.SMALL, seed=11)
+        pooled = run_sweep(template, modes=("none",), repeats=2, jobs=2)
+        assert built == [2]
+        assert np.array_equal(pooled.found_at, run_sweep(template, modes=("none",), repeats=2).found_at)
 
     def test_clamped_to_cpus_and_tasks(self):
         assert worker_count(8, 100, 2) == 2
