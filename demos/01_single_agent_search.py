@@ -3,14 +3,15 @@
 Walks through the full perception-action cycle: noisy observations update
 two coupled beliefs (own location, object location), candidate move
 sequences are scored by expected information gain plus preference for
-seeing the object, and an action is sampled from the score softmax.
-Prints the evolving object belief as a text heatmap.
+seeing the object, and an action is sampled from the score softmax. Runs
+one trial and replays its trace, printing the evolving object belief as
+a text heatmap.
 """
 
 import numpy as np
 
-from beliefshare import planning, world
-from beliefshare.model import initial_state, make_agent_model, perceive
+from beliefshare import world
+from beliefshare.simulate import AgentSpec, CommMode, ScenarioConfig, run_trial
 
 SHADES = " .:-=+*#%@"
 
@@ -26,43 +27,35 @@ def grid_rows(p):
 
 
 def main():
-    rng = np.random.default_rng(4)
     graph = world.default_graph()
     object_location = 13
     start = 0
-
-    model = make_agent_model(graph, start_node=start, object_prior=np.ones(15) / 15)
-    state = initial_state(model)
-    planner = planning.PlannerContext(model)
-    positions = np.array([start])
+    config = ScenarioConfig(
+        graph=graph,
+        agents=[AgentSpec(start, np.ones(15) / 15)],
+        comm_mode=CommMode.NONE,
+        object_location=object_location,
+        temperature=4.0,
+        seed=4,
+    )
+    result = run_trial(config)
+    trace = result.trace
 
     print(f"object hidden at node {object_location}, agent starts at node {start}")
     print("belief heat uses", repr(SHADES), "from low to high\n")
 
-    for t in range(20):
-        loc_obs, vis_obs = world.env_observe(
-            positions, object_location, rng.random((1, 2)), planner.cum_A1, planner.A2
-        )
-        update = perceive(model, state, loc_obs[0], vis_obs[0])
-        state.location = update.location
-        state.object = update.object
-
-        pos = positions[0]
-        saw = "visible!" if vis_obs[0] == world.VISIBLE else "nothing"
-        rows = grid_rows(state.object.probs)
-        print(f"t={t:2d}  at node {pos:2d}  sees {saw:9s}  object belief: {rows[0]}")
+    positions = np.array([start])
+    for t in range(trace.n_steps):
+        if t:
+            positions = world.env_step(positions, trace.actions[t - 1], graph)
+        saw = "visible!" if trace.observations[t, 0, 1] == world.VISIBLE else "nothing"
+        rows = grid_rows(trace.object_beliefs[t, 0])
+        print(f"t={t:2d}  at node {positions[0]:2d}  sees {saw:9s}  object belief: {rows[0]}")
         for row in rows[1:]:
             print(" " * 44 + row)
 
-        if pos == object_location and vis_obs[0] == world.VISIBLE:
-            print(f"\nfound the object in {t + 1} steps")
-            break
-
-        G = planner.scores(state.location.probs, state.object.probs, horizon=2)
-        idx = planning.sample_policy_index(G, temperature=4.0, u=rng.random())
-        action = idx // 15
-        state.last_action = action
-        positions = world.env_step(positions, [action], graph)
+    if result.found:
+        print(f"\nfound the object in {result.steps_to_find} steps")
     else:
         print("\nran out of time")
 

@@ -6,8 +6,7 @@ round multiplies the two posteriors together, so the hunch snowballs;
 under likelihood sharing an evidence-free round is a no-op.
 """
 
-from beliefshare.comms import CommMode
-from beliefshare.simulate import bumped_prior, echo_chamber_config, run_trial
+from beliefshare.simulate import CommMode, bumped_prior, echo_chamber_config, run_trial
 
 
 def show(mode):

@@ -7,8 +7,7 @@ instead of collapsing; under likelihood sharing four independent "nothing
 here" reports demolish it in one round.
 """
 
-from beliefshare.comms import CommMode
-from beliefshare.simulate import run_trial, self_doubt_config
+from beliefshare.simulate import CommMode, run_trial, self_doubt_config
 
 
 def show(mode, steps=6):

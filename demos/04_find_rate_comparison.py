@@ -12,8 +12,7 @@ phantom node (its belief doubles every round, outrunning refutation).
 import numpy as np
 
 from beliefshare import world
-from beliefshare.comms import CommMode
-from beliefshare.simulate import SWEEP_MODES, AgentSpec, ScenarioConfig, run_trials
+from beliefshare.simulate import SWEEP_MODES, AgentSpec, CommMode, ScenarioConfig, run_trials
 
 
 def main():

@@ -19,9 +19,8 @@ from itertools import permutations
 import numpy as np
 
 from . import __version__, simulate, world
-from .comms import CommMode
 from .errors import BeliefShareError, CapExceeded, ConfigError, FileAccessError
-from .simulate import AgentSpec, ScenarioConfig, SweepResult
+from .simulate import AgentSpec, CommMode, ScenarioConfig, SweepResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -5,28 +5,12 @@ class BeliefShareError(Exception):
     """Base class for all package errors."""
 
 
-class DegenerateDistribution(BeliefShareError):
-    """A probability vector has no mass to normalize (all zero) or negative entries."""
-
-
 class EmptyInput(BeliefShareError):
     """An operation received an empty vector or list where content is required."""
 
 
 class ShapeError(BeliefShareError):
     """Array dimensions do not match the declared factor/outcome sizes."""
-
-
-class IncompleteParents(BeliefShareError):
-    """A likelihood contraction is missing (or was given surplus) co-parent beliefs."""
-
-
-class InvalidAction(BeliefShareError):
-    """Action index outside the transition tensor's action axis."""
-
-
-class FactorMismatch(BeliefShareError):
-    """Messages or beliefs refer to different latent factors."""
 
 
 class ConfigError(BeliefShareError):

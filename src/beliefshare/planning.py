@@ -1,19 +1,17 @@
-"""Policy enumeration, expected free energy, and stochastic action choice.
+"""Expected free energy of every policy at once, and stochastic action choice.
 
-A policy is a fixed-length tuple of move targets. Its score combines the
-information expected from predicted observations with a bonus in nats for
-the predicted chance of seeing the object; actions are sampled from a
-softmax over the negated scores and re-planned every timestep.
+A policy is a fixed-length tuple of move targets, and policies run in
+lexicographic order. Its score combines the information expected from
+predicted observations with a bonus in nats for the predicted chance of
+seeing the object; actions are sampled from a softmax over the negated
+scores and re-planned every timestep.
 """
-
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import world
-from .errors import CapExceeded, EmptyInput, ShapeError, check_cap
-from .inference import floored_log, kl_divergence, normalize, softmax
+from .errors import EmptyInput, ShapeError
+from .inference import floored_log, softmax
 
 POLICY_CAP = 10_000
 # The longest horizon a graph of two or more nodes plans within POLICY_CAP: 2**13 <= 10,000 < 2**14.
@@ -27,102 +25,21 @@ SCORE_BYTES = 1 << 16
 INERT_MASS = np.finfo(float).eps / 2
 
 
-@dataclass
-class EFEBreakdown:
-    """Score of one policy: G = -info_gain - utility (lower is better)."""
-
-    info_gain: float
-    utility: float
-
-    @property
-    def G(self) -> float:
-        return -self.info_gain - self.utility
-
-
-def enumerate_policies(n_actions: int, horizon: int) -> list:
-    """All action sequences of the given length, in lexicographic order; at most POLICY_CAP."""
-    if horizon < 1 or n_actions < 1:
-        raise EmptyInput("horizon and action count must be at least 1")
-    if horizon > HORIZON_CAP:
-        raise CapExceeded(f"horizon: {horizon} is over the cap of {HORIZON_CAP}")
-    check_cap("policies", POLICY_CAP, n_actions**horizon)
-    return list(product(range(n_actions), repeat=horizon))
-
-
-def rollout_predict(model, beliefs, policy) -> tuple:
-    """Predicted per-step state beliefs and observation distributions under a policy.
-
-    Returns (states, observations): two lists with one entry per step,
-    ``states[t]`` mapping factor id to a belief vector and
-    ``observations[t]`` mapping modality id to an outcome distribution.
-    The object never moves, so its belief is the same at every step.
-    """
-    loc = beliefs.location.probs.copy()
-    obj = beliefs.object.probs.copy()
-    states = []
-    observations = []
-    for action in policy:
-        loc = model.B_location.table[:, :, action] @ loc
-        states.append({world.LOCATION: loc, world.OBJECT: obj})
-        obs = {}
-        if model.observe_visibility:
-            obs[world.VISIBILITY_MODALITY] = np.einsum(
-                "vij,i,j->v", model.A_visibility.table, loc, obj
-            )
-        if model.observe_location:
-            obs[world.LOCATION_MODALITY] = model.A_location.table @ loc
-        observations.append(obs)
-    return states, observations
-
-
-def expected_free_energy(model, beliefs, policy) -> EFEBreakdown:
-    """Score one policy by explicit enumeration over predicted outcomes.
-
-    Information gain is the expected KL from predicted-state prior to the
-    posterior given each possible outcome (joint over both factors for the
-    visibility modality); utility is the model's visible bonus times the
-    predicted probability of a visible outcome. The shared modality never
-    enters the rollout.
-    """
-    states, observations = rollout_predict(model, beliefs, policy)
-    info_gain = 0.0
-    utility = 0.0
-    for state, obs_dists in zip(states, observations):
-        loc = state[world.LOCATION]
-        obj = state[world.OBJECT]
-        if world.VISIBILITY_MODALITY in obs_dists:
-            q_o = obs_dists[world.VISIBILITY_MODALITY]
-            joint_prior = np.outer(loc, obj)
-            for v in range(model.A_visibility.n_outcomes):
-                if q_o[v] <= 0:
-                    continue
-                joint_post = normalize(model.A_visibility.table[v] * joint_prior)
-                info_gain += q_o[v] * kl_divergence(joint_post.ravel(), joint_prior.ravel())
-            utility += model.visible_bonus * q_o[world.VISIBLE]
-        if world.LOCATION_MODALITY in obs_dists:
-            q_o = obs_dists[world.LOCATION_MODALITY]
-            for o in range(model.A_location.n_outcomes):
-                if q_o[o] <= 0:
-                    continue
-                post = normalize(model.A_location.table[o] * loc)
-                info_gain += q_o[o] * kl_divergence(post, loc)
-    return EFEBreakdown(info_gain, utility)
-
-
 class PlannerContext:
     """Precomputed arrays for one agent model's graph, observations and visible bonus.
 
     Scores the full lexicographic policy product without per-call tensor
-    rebuilds; ``scores()`` agrees with ``expected_free_energy`` policy by
-    policy. Moves follow the graph's rule, not the dense dynamics tensor:
-    a move to an adjacent target goes there, any other target stays put.
+    rebuilds; ``scores()`` agrees policy by policy with the one-policy
+    reference, ``expected_free_energy`` in ``tests/reference.py``. Moves
+    follow the graph's rule, not a dense dynamics tensor: a move to an
+    adjacent target goes there, any other target stays put.
     Also carries the log and cumulative observation tables the trial loop
     perceives with, so one context serves a whole trial.
     """
 
     def __init__(self, model):
-        A2 = model.A_visibility.table
-        A1 = model.A_location.table
+        A2 = model.A_visibility
+        A1 = model.A_location
         self.A2 = A2
         self.adj = model.graph.adjacency.astype(float)
         self.stay = 1.0 - self.adj

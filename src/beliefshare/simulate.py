@@ -17,20 +17,21 @@ moves that shift the belief. A planned or frozen trial
 draws all its uniforms as one block when its batch starts; the random
 walk draws step by step. Beliefs are updated only where a planner or a
 trace reads them, so an untraced random walk steps positions and draws
-alone. The kernel computes what the contract operations (model.perceive,
-comms.broadcast_round, PlannerContext.scores) compute one agent at a
-time; the tests hold the two paths to agreement within 1e-12.
+alone. The kernel computes what the one-agent reference in
+``tests/reference.py`` (perceive, broadcast_round, expected_free_energy)
+computes one agent, one message and one policy at a time; the tests hold
+the two to agreement within 1e-12.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass, replace
+from enum import Enum
 from itertools import product
 
 import numpy as np
 
 from . import planning, world
-from .comms import CommMode
 from .errors import CapExceeded, ConfigError, check_cap
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import VISIBLE_BONUS, make_agent_model
@@ -54,6 +55,14 @@ RANDOM = "random"
 
 # Sweep table labels: the three channel modes plus the no-planning baseline.
 SWEEP_MODES = ("likelihood_sharing", "posterior_sharing", "none", "random")
+
+
+class CommMode(str, Enum):
+    """What each agent sends the others every step: nothing, its posterior, or its own evidence."""
+
+    NONE = "none"
+    POSTERIOR_SHARING = "posterior_sharing"
+    LIKELIHOOD_SHARING = "likelihood_sharing"
 
 
 @dataclass
@@ -234,7 +243,7 @@ def planner_context(config: ScenarioConfig) -> planning.PlannerContext:
 
 
 def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
-    """Own-evidence update of every agent row (mirrors model.perceive).
+    """Own-evidence update of every agent row, as the reference's ``perceive`` updates one agent.
 
     Returns location and object beliefs, object prior messages, and the
     visibility messages to the object factor (zeros with no visibility

@@ -1,8 +1,8 @@
 """Ground-truth environment: location graph, hidden object, observation draws.
 
-Also home of the canonical tensor builders. Moving is "name a target node":
-the move succeeds when the target neighbours the current node, otherwise the
-agent stays put, which keeps every dynamics column exactly stochastic.
+Also builds the observation tables every agent model and planner reads.
+Moving is "name a target node": the move succeeds when the target
+neighbours the current node, otherwise the agent stays put.
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, ConfigError, ShapeError
-from .inference import LikelihoodTensor, TransitionTensor
 
 LOCATION = "location"
 OBJECT = "object"
@@ -60,9 +59,6 @@ class WorldGraph:
                     seen.add(int(nb))
                     frontier.append(int(nb))
         return min(set(range(self.n_nodes)) - seen, default=None)
-
-    def neighbours(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[node])
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "WorldGraph":
@@ -116,34 +112,13 @@ def parse_graph_text(text: str) -> WorldGraph:
     return WorldGraph(n, adj)
 
 
-def format_graph_text(graph: WorldGraph) -> str:
-    lines = []
-    for node in range(graph.n_nodes):
-        nbs = [str(nb) for nb in graph.neighbours(node) if nb != node]
-        lines.append(f"{node}: {','.join(nbs)}")
-    return "\n".join(lines) + "\n"
-
-
 def default_graph() -> WorldGraph:
     """The shipped 15-node world: a 3x5 grid, no diagonals."""
     return WorldGraph.grid(3, 5)
 
 
-def build_B1(graph: WorldGraph) -> TransitionTensor:
-    """Movement dynamics: action a jumps to node a when adjacent, else stays."""
-    n = graph.n_nodes
-    table = np.zeros((n, n, n))
-    for a in range(n):
-        for j in range(n):
-            if graph.adjacency[a, j]:
-                table[a, j, a] = 1.0
-            else:
-                table[j, j, a] = 1.0
-    return TransitionTensor(LOCATION, table)
-
-
-def build_A1(n_nodes: int) -> LikelihoodTensor:
-    """Near-identity location observation: 0.99 on the diagonal.
+def build_A1(n_nodes: int) -> np.ndarray:
+    """Near-identity location observation P(outcome | location): 0.99 on the diagonal.
 
     The remaining 0.01 is split uniformly over the other entries so every
     column stays stochastic for any node count.
@@ -154,18 +129,18 @@ def build_A1(n_nodes: int) -> LikelihoodTensor:
         off = (1.0 - LOCATION_ACCURACY) / (n_nodes - 1)
         table = np.full((n_nodes, n_nodes), off)
         np.fill_diagonal(table, LOCATION_ACCURACY)
-    return LikelihoodTensor(LOCATION_MODALITY, (LOCATION,), table)
+    return table
 
 
-def build_A2(n_nodes: int) -> LikelihoodTensor:
-    """Visibility observation: P(visible) = 0.8 when co-located with the object, else 0.2."""
+def build_A2(n_nodes: int) -> np.ndarray:
+    """Visibility observation P(outcome | location, object): P(visible) = 0.8 when co-located, else 0.2."""
     table = np.empty((2, n_nodes, n_nodes))
     table[VISIBLE] = FALSE_POSITIVE_RATE
     table[NOT_VISIBLE] = 1.0 - FALSE_POSITIVE_RATE
     idx = np.arange(n_nodes)
     table[VISIBLE, idx, idx] = DETECTION_RATE
     table[NOT_VISIBLE, idx, idx] = 1.0 - DETECTION_RATE
-    return LikelihoodTensor(VISIBILITY_MODALITY, (LOCATION, OBJECT), table)
+    return table
 
 
 def env_step(positions, actions, graph: WorldGraph) -> np.ndarray:

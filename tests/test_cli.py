@@ -28,9 +28,9 @@ from beliefshare.cli import (
     parse_config_text,
     serialize_config,
 )
-from beliefshare.comms import CommMode
 from beliefshare.errors import ConfigError
-from beliefshare.simulate import AgentSpec, ScenarioConfig
+from beliefshare.simulate import AgentSpec, CommMode, ScenarioConfig
+from reference import format_graph_text
 
 MINIMAL = """
 comm_mode = likelihood_sharing
@@ -119,7 +119,7 @@ class TestParseConfig:
             agents.append(AgentSpec(data.draw(st.integers(0, n - 1)), weights / weights.sum()))
         with tempfile.TemporaryDirectory() as tmp:
             fixture = Path(tmp) / "graph.txt"
-            fixture.write_text(world.format_graph_text(graph))
+            fixture.write_text(format_graph_text(graph))
             config = ScenarioConfig(
                 graph=graph,
                 agents=agents,

@@ -1,27 +1,28 @@
-"""Message composition, broadcast rounds, and integration against Bayes oracles."""
+"""The reference's sharing channels: message composition, broadcast rounds, and integration
+against Bayes oracles."""
 
 import numpy as np
 import pytest
 
 from beliefshare import world
-from beliefshare.comms import (
-    CommMode,
+from beliefshare.errors import ShapeError
+from beliefshare.inference import floored_log
+from beliefshare.model import make_agent_model
+from beliefshare.simulate import CommMode
+from reference import (
+    CategoricalBelief,
+    LogMessage,
     SharedMessage,
     broadcast_round,
     compose_likelihood_message,
     compose_posterior_message,
+    exact_bayes_oracle,
+    initial_state,
     integrate_shared,
     integrated_object_belief,
-)
-from beliefshare.errors import ShapeError
-from beliefshare.inference import (
-    CategoricalBelief,
-    LogMessage,
-    exact_bayes_oracle,
-    floored_log,
     normalize,
+    perceive,
 )
-from beliefshare.model import initial_state, make_agent_model, perceive
 
 
 def obj_belief(probs):

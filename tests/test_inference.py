@@ -1,30 +1,28 @@
-"""Categorical arithmetic, message passing, and the free-energy bound."""
+"""Categorical arithmetic, message passing, and the free-energy bound: the package's log-space
+helpers, and the reference in tests/reference.py held to exact Bayes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefshare.errors import (
+from beliefshare.errors import EmptyInput, ShapeError
+from beliefshare.inference import LOG_FLOOR, floored_log, softmax
+from beliefshare.world import WorldGraph
+from reference import (
+    CategoricalBelief,
     DegenerateDistribution,
-    EmptyInput,
     FactorMismatch,
     IncompleteParents,
     InvalidAction,
-    ShapeError,
-)
-from beliefshare.inference import (
-    LOG_FLOOR,
-    CategoricalBelief,
     LikelihoodTensor,
     LogMessage,
     ObservationEvent,
     TransitionTensor,
+    build_B1,
     exact_bayes_oracle,
-    floored_log,
     likelihood_message,
     normalize,
-    softmax,
     transition_prediction,
     variational_free_energy,
     vmp_update,
@@ -199,8 +197,6 @@ class TestTransitionPrediction:
 
     def test_path_graph_move(self):
         # 0-1-2 path; action = target node, stay if not adjacent
-        from beliefshare.world import WorldGraph, build_B1
-
         graph = WorldGraph.from_edges(3, [(0, 1), (1, 2)])
         B1 = build_B1(graph)
         one_hot = belief([1.0, 0.0, 0.0], "location")

@@ -1,4 +1,5 @@
-"""Policy scores: enumeration, rollouts, expected free energy, action choice."""
+"""Policy scores: the reference's enumeration, rollouts and expected free energy, the batched
+scorer held to them, and action choice."""
 
 from itertools import product
 
@@ -9,23 +10,25 @@ from hypothesis import strategies as st
 
 from beliefshare import world
 from beliefshare.errors import CapExceeded, EmptyInput, ShapeError
-from beliefshare.inference import (
-    CategoricalBelief,
-    LikelihoodTensor,
-    kl_divergence,
-    normalize,
-)
-from beliefshare.model import BeliefState, initial_state, make_agent_model
+from beliefshare.model import make_agent_model
 from beliefshare.planning import (
     HORIZON_CAP,
     INERT_MASS,
     SCORE_BYTES,
     PlannerContext,
-    enumerate_policies,
-    expected_free_energy,
-    rollout_predict,
     rows_per_call,
     sample_policy_index,
+)
+from reference import (
+    BeliefState,
+    CategoricalBelief,
+    build_B1,
+    enumerate_policies,
+    expected_free_energy,
+    initial_state,
+    kl_divergence,
+    normalize,
+    rollout_predict,
 )
 
 
@@ -96,12 +99,13 @@ def brute_force_breakdown(model, state, policy):
     obj = state.object.probs.copy()
     info_gain = 0.0
     utility = 0.0
+    B_location = build_B1(model.graph).table
     B_object = np.eye(obj.size)  # the object never moves
     for action in policy:
-        loc = model.B_location.table[:, :, action] @ loc
+        loc = B_location[:, :, action] @ loc
         obj = B_object @ obj
         if model.observe_visibility:
-            A2 = model.A_visibility.table
+            A2 = model.A_visibility
             joint = loc[:, None] * obj[None, :]
             for v in range(2):
                 q_o = float((A2[v] * joint).sum())
@@ -111,7 +115,7 @@ def brute_force_breakdown(model, state, policy):
             q_vis = np.array([(A2[v] * joint).sum() for v in range(2)])
             utility += model.visible_bonus * q_vis[world.VISIBLE]
         if model.observe_location:
-            A1 = model.A_location.table
+            A1 = model.A_location
             for o in range(A1.shape[0]):
                 q_o = float(A1[o] @ loc)
                 if q_o > 0:
@@ -129,7 +133,7 @@ class TestExpectedFreeEnergy:
         table = np.zeros((2, 2, 2))
         table[0] = np.eye(2)  # visible exactly when co-located
         table[1] = 1.0 - np.eye(2)
-        model.A_visibility = LikelihoodTensor("visibility", ("location", "object"), table)
+        model.A_visibility = table
         e = expected_free_energy(model, initial_state(model), (0,))
         assert e.info_gain == pytest.approx(0.0, abs=1e-10)
 
@@ -214,7 +218,7 @@ class TestMovementRule:
         n = graph.n_nodes
         rng = np.random.default_rng(seed)
         planner = PlannerContext(make_agent_model(graph, 0, np.ones(n) / n))
-        B1 = world.build_B1(graph).table
+        B1 = build_B1(graph).table
         locs = rng.dirichlet(np.ones(n), size=3)
         dense = np.einsum("ija,kj->kai", B1, locs)  # belief k moved by action a
         assert np.abs(planner.moves(locs) - dense).max() <= 1e-12

@@ -11,17 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshare import planning, simulate, world
-from beliefshare.comms import CommMode, broadcast_round, integrated_object_belief
 from beliefshare.errors import CapExceeded, ConfigError
-from beliefshare.model import (
-    BeliefState,
-    initial_state,
-    make_agent_model,
-    perceive,
-)
+from beliefshare.model import make_agent_model
 from beliefshare.simulate import (
     SWEEP_MODES,
     AgentSpec,
+    CommMode,
     ScenarioConfig,
     bumped_prior,
     echo_chamber_config,
@@ -34,6 +29,7 @@ from beliefshare.simulate import (
     trial_seed,
     worker_count,
 )
+from reference import BeliefState, broadcast_round, initial_state, integrated_object_belief, perceive
 
 GRAPH = world.default_graph()
 
@@ -52,7 +48,7 @@ def sweep_style_config(starts, obj, mode, seed, steps=8, **kwargs):
 
 
 def reference_trial(config):
-    """Re-run a trial by composing the public contract operations step by step.
+    """Re-run a trial by composing the reference's one-agent operations step by step.
 
     Must consume the generator in exactly the same order as run_trial.
     """
@@ -65,7 +61,7 @@ def reference_trial(config):
         for s in config.agents
     ]
     states = [initial_state(m) for m in models]
-    cum_A1 = np.cumsum(models[0].A_location.table, axis=0)
+    cum_A1 = np.cumsum(models[0].A_location, axis=0)
     positions = [s.start_node for s in config.agents]
     planner = planning.PlannerContext(models[0])
     rng = np.random.default_rng(config.seed)
@@ -80,7 +76,7 @@ def reference_trial(config):
         if config.observe_location or draw_visibility:
             drawn_loc, drawn_vis = world.env_observe(
                 positions, config.object_location, rng.random((n_agents, 2)), cum_A1,
-                models[0].A_visibility.table,
+                models[0].A_visibility,
             )
             if config.observe_location:
                 loc_obs = list(drawn_loc)

