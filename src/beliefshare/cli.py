@@ -39,7 +39,6 @@ ERROR_EXITS = (
     (ConfigError, EXIT_USAGE, "config error: {}"),
     (FileAccessError, EXIT_IO, "{}"),
     (CapExceeded, EXIT_CAP, "resource cap: {}"),
-    (BeliefShareError, EXIT_USAGE, "error: {}"),
 )
 
 

@@ -1,16 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each kind is one exit code in ``cli.ERROR_EXITS``."""
 
 
 class BeliefShareError(Exception):
     """Base class for all package errors."""
-
-
-class EmptyInput(BeliefShareError):
-    """An operation received an empty vector or list where content is required."""
-
-
-class ShapeError(BeliefShareError):
-    """Array dimensions do not match the declared factor/outcome sizes."""
 
 
 class ConfigError(BeliefShareError):

@@ -8,8 +8,6 @@ one-agent reference it is tested against lives with the tests, in
 
 import numpy as np
 
-from .errors import EmptyInput
-
 PROB_FLOOR = 1e-16
 LOG_FLOOR = float(np.log(PROB_FLOOR))
 
@@ -33,8 +31,6 @@ def floored_log(p: np.ndarray) -> np.ndarray:
 def softmax(logits) -> np.ndarray:
     """Stable softmax over the last axis; invariant to adding a constant to a row."""
     z = np.asarray(logits, dtype=float)
-    if z.size == 0:
-        raise EmptyInput("softmax of an empty vector")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

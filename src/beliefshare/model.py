@@ -28,10 +28,6 @@ class AgentModel:
     observe_location: bool = True
     observe_visibility: bool = True
 
-    @property
-    def n_nodes(self) -> int:
-        return self.graph.n_nodes
-
 
 def make_agent_model(
     graph: world.WorldGraph,

@@ -10,7 +10,6 @@ scores and re-planned every timestep.
 import numpy as np
 
 from . import world
-from .errors import EmptyInput, ShapeError
 from .inference import floored_log, softmax
 
 POLICY_CAP = 10_000
@@ -43,7 +42,7 @@ class PlannerContext:
         self.A2 = A2
         self.adj = model.graph.adjacency.astype(float)
         self.stay = 1.0 - self.adj
-        self.nodes = np.arange(model.n_nodes)
+        self.nodes = np.arange(len(A1))
         self.log_A1 = floored_log(A1)
         self.log_A2 = floored_log(A2)
         self.cum_A1 = np.cumsum(A1, axis=0)
@@ -51,7 +50,7 @@ class PlannerContext:
         self.vis_T = np.ascontiguousarray(A2[world.VISIBLE].T)
         self.w_vis_T = np.ascontiguousarray((A2 * self.log_A2).sum(axis=0).T)
         self.w_loc = (A1 * self.log_A1).sum(axis=0)
-        self.off = A1[0, 1] if model.n_nodes > 1 else 0.0
+        self.off = A1[0, 1] if len(A1) > 1 else 0.0
         self.beta = A1[0, 0] - self.off
         # entropy terms of the nodes a move empties: all but its target
         self.emptied = (self.adj.sum(axis=1) - 1.0) * self._loc_entropy(0.0)
@@ -172,12 +171,8 @@ def rows_per_call(n_nodes: int, horizon: int) -> int:
 def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:
     """Policy index per row of G from softmax(-temperature * G), by inverse CDF at the uniforms u.
 
-    One score vector and one uniform give one index.
+    One score vector and one uniform give one index. ``temperature`` > 0: ScenarioConfig checks it.
     """
-    if G.size == 0:
-        raise EmptyInput("no policy scores to sample from")
-    if temperature <= 0:
-        raise ShapeError("temperature must be positive")
     cum = np.cumsum(softmax(-temperature * G), axis=-1)
     # the CDF is sorted, so counting entries <= u is searchsorted(side="right")
     idx = (cum <= np.asarray(u)[..., None]).sum(axis=-1)

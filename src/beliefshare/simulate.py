@@ -180,6 +180,10 @@ class BeliefTrace:
     other agent at step t under ``comm_mode``; under "none" nothing is sent
     and it stays zero. Actions and observations read -1 where none was
     taken or drawn.
+
+    The scenario export writes ``object_beliefs`` and ``messages``; the oracle tests read
+    ``location_beliefs``, ``object_prior_msgs`` and ``object_likelihood_sums``, and they and
+    demo 01 read ``observations`` and ``actions``.
     """
 
     object_beliefs: np.ndarray
@@ -530,7 +534,6 @@ class SweepResult:
     objects: np.ndarray
     seeds: list
     found_at: np.ndarray
-    master_seed: int
 
     @property
     def aggregates(self) -> dict:
@@ -574,6 +577,8 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     if len(set(modes)) < len(modes):
         raise ConfigError(f"sweep_modes: each mode may be listed once, got {','.join(modes)}")
+    if not set(modes) <= set(SWEEP_MODES):
+        raise ConfigError(f"sweep_modes: unknown sweep mode in {','.join(modes)}")
     if template.object_location is not None:
         raise ConfigError("object: a sweep places the object on every node; set it to 'absent'")
     if template.action_policy != PLANNED:
@@ -605,4 +610,4 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
     found_at = np.empty((len(modes), len(combos)), dtype=int)
     for i, part in enumerate(parts):
         found_at[i // jobs, i % jobs :: jobs] = part
-    return SweepResult(tuple(modes), starts, objects, seeds, found_at, template.seed)
+    return SweepResult(tuple(modes), starts, objects, seeds, found_at)

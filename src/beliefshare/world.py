@@ -9,13 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ConfigError, ShapeError
+from .errors import CapExceeded, ConfigError
 
-LOCATION = "location"
 OBJECT = "object"
-
-LOCATION_MODALITY = "location"
-VISIBILITY_MODALITY = "visibility"
 
 VISIBLE = 0
 NOT_VISIBLE = 1
@@ -40,7 +36,7 @@ class WorldGraph:
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.shape != (self.n_nodes, self.n_nodes):
-            raise ShapeError(f"adjacency must be {self.n_nodes}x{self.n_nodes}")
+            raise ConfigError(f"graph: adjacency must be {self.n_nodes}x{self.n_nodes}")
         adj = adj | adj.T
         np.fill_diagonal(adj, True)
         self.adjacency = adj
@@ -103,13 +99,11 @@ def parse_graph_text(text: str) -> WorldGraph:
     n = max(entries) + 1
     if n > NODE_CAP:
         raise CapExceeded(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
-    adj = np.zeros((n, n), dtype=bool)
-    for node, nbs in entries.items():
-        for nb in nbs:
-            if not 0 <= nb < n:
-                raise ConfigError(f"neighbour {nb} of node {node} out of range")
-            adj[node, nb] = adj[nb, node] = True
-    return WorldGraph(n, adj)
+    edges = [(node, nb) for node, nbs in entries.items() for nb in nbs]
+    for node, nb in edges:
+        if not 0 <= nb < n:
+            raise ConfigError(f"neighbour {nb} of node {node} out of range")
+    return WorldGraph.from_edges(n, edges)
 
 
 def default_graph() -> WorldGraph:

@@ -18,13 +18,27 @@ from itertools import product
 import numpy as np
 
 from beliefshare import world
-from beliefshare.errors import BeliefShareError, CapExceeded, EmptyInput, ShapeError, check_cap
+from beliefshare.errors import BeliefShareError, CapExceeded, check_cap
 from beliefshare.inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from beliefshare.planning import HORIZON_CAP, POLICY_CAP
 from beliefshare.simulate import CommMode
 
 # Tolerance for "sums to one" checks on constructed tensors and beliefs.
 SUM_ATOL = 1e-9
+
+# Factor and modality names of the reference's tensors. The kernel indexes plain arrays; of these
+# names only the object factor's is in the package (``world.OBJECT``), for the trace export.
+LOCATION = "location"
+LOCATION_MODALITY = "location"
+VISIBILITY_MODALITY = "visibility"
+
+
+class EmptyInput(BeliefShareError):
+    """An operation received an empty vector or list where content is required."""
+
+
+class ShapeError(BeliefShareError):
+    """Array dimensions do not match the declared factor/outcome sizes."""
 
 
 class DegenerateDistribution(BeliefShareError):
@@ -317,7 +331,7 @@ def build_B1(graph: world.WorldGraph) -> TransitionTensor:
                 table[a, j, a] = 1.0
             else:
                 table[j, j, a] = 1.0
-    return TransitionTensor(world.LOCATION, table)
+    return TransitionTensor(LOCATION, table)
 
 
 def format_graph_text(graph: world.WorldGraph) -> str:
@@ -360,7 +374,7 @@ class PerceptionUpdate:
 def initial_state(model) -> BeliefState:
     """The model's priors as beliefs, before any action."""
     return BeliefState(
-        CategoricalBelief(world.LOCATION, model.location_prior),
+        CategoricalBelief(LOCATION, model.location_prior),
         CategoricalBelief(world.OBJECT, model.object_prior),
         None,
     )
@@ -372,7 +386,7 @@ def prior_messages(model, state: BeliefState) -> tuple:
     The object never moves, so its prior message is its current belief.
     """
     if state.last_action is None:
-        loc_msg = LogMessage(world.LOCATION, floored_log(state.location.probs))
+        loc_msg = LogMessage(LOCATION, floored_log(state.location.probs))
     else:
         loc_msg = transition_prediction(build_B1(model.graph), state.location, state.last_action)
     return loc_msg, LogMessage(world.OBJECT, floored_log(state.object.probs))
@@ -390,22 +404,22 @@ def perceive(
     alternate factor-wise until the beliefs stop moving (or MAX_SWEEPS).
     Masked or absent observations simply contribute no message.
     """
-    A_location = LikelihoodTensor(world.LOCATION_MODALITY, (world.LOCATION,), model.A_location)
+    A_location = LikelihoodTensor(LOCATION_MODALITY, (LOCATION,), model.A_location)
     A_visibility = LikelihoodTensor(
-        world.VISIBILITY_MODALITY, (world.LOCATION, world.OBJECT), model.A_visibility
+        VISIBILITY_MODALITY, (LOCATION, world.OBJECT), model.A_visibility
     )
     loc_prior_msg, obj_prior_msg = prior_messages(model, state)
 
     loc_evidence = loc_prior_msg.logits.copy()
     if model.observe_location and location_obs is not None:
-        obs = ObservationEvent(world.LOCATION_MODALITY, location_obs)
-        loc_evidence += likelihood_message(A_location, obs, [], world.LOCATION).logits
+        obs = ObservationEvent(LOCATION_MODALITY, location_obs)
+        loc_evidence += likelihood_message(A_location, obs, [], LOCATION).logits
 
     vis_event = None
     if model.observe_visibility and visibility_obs is not None:
-        vis_event = ObservationEvent(world.VISIBILITY_MODALITY, visibility_obs)
+        vis_event = ObservationEvent(VISIBILITY_MODALITY, visibility_obs)
 
-    loc_belief = CategoricalBelief(world.LOCATION, softmax(loc_evidence))
+    loc_belief = CategoricalBelief(LOCATION, softmax(loc_evidence))
     obj_belief = CategoricalBelief(world.OBJECT, softmax(obj_prior_msg.logits))
 
     if vis_event is None:
@@ -413,8 +427,8 @@ def perceive(
 
     vis_to_obj = None
     for _ in range(MAX_SWEEPS):
-        vis_to_loc = likelihood_message(A_visibility, vis_event, [obj_belief], world.LOCATION)
-        new_loc = CategoricalBelief(world.LOCATION, softmax(loc_evidence + vis_to_loc.logits))
+        vis_to_loc = likelihood_message(A_visibility, vis_event, [obj_belief], LOCATION)
+        new_loc = CategoricalBelief(LOCATION, softmax(loc_evidence + vis_to_loc.logits))
         vis_to_obj = likelihood_message(A_visibility, vis_event, [new_loc], world.OBJECT)
         new_obj = CategoricalBelief(
             world.OBJECT, softmax(obj_prior_msg.logits + vis_to_obj.logits)
@@ -570,12 +584,12 @@ def rollout_predict(model, beliefs, policy) -> tuple:
     observations = []
     for action in policy:
         loc = B[:, :, action] @ loc
-        states.append({world.LOCATION: loc, world.OBJECT: obj})
+        states.append({LOCATION: loc, world.OBJECT: obj})
         obs = {}
         if model.observe_visibility:
-            obs[world.VISIBILITY_MODALITY] = np.einsum("vij,i,j->v", model.A_visibility, loc, obj)
+            obs[VISIBILITY_MODALITY] = np.einsum("vij,i,j->v", model.A_visibility, loc, obj)
         if model.observe_location:
-            obs[world.LOCATION_MODALITY] = model.A_location @ loc
+            obs[LOCATION_MODALITY] = model.A_location @ loc
         observations.append(obs)
     return states, observations
 
@@ -593,10 +607,10 @@ def expected_free_energy(model, beliefs, policy) -> EFEBreakdown:
     info_gain = 0.0
     utility = 0.0
     for state, obs_dists in zip(states, observations):
-        loc = state[world.LOCATION]
+        loc = state[LOCATION]
         obj = state[world.OBJECT]
-        if world.VISIBILITY_MODALITY in obs_dists:
-            q_o = obs_dists[world.VISIBILITY_MODALITY]
+        if VISIBILITY_MODALITY in obs_dists:
+            q_o = obs_dists[VISIBILITY_MODALITY]
             joint_prior = np.outer(loc, obj)
             for v in range(len(model.A_visibility)):
                 if q_o[v] <= 0:
@@ -604,8 +618,8 @@ def expected_free_energy(model, beliefs, policy) -> EFEBreakdown:
                 joint_post = normalize(model.A_visibility[v] * joint_prior)
                 info_gain += q_o[v] * kl_divergence(joint_post.ravel(), joint_prior.ravel())
             utility += model.visible_bonus * q_o[world.VISIBLE]
-        if world.LOCATION_MODALITY in obs_dists:
-            q_o = obs_dists[world.LOCATION_MODALITY]
+        if LOCATION_MODALITY in obs_dists:
+            q_o = obs_dists[LOCATION_MODALITY]
             for o in range(len(model.A_location)):
                 if q_o[o] <= 0:
                     continue

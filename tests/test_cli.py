@@ -1,8 +1,11 @@
 """Config files, CSV export, manifests, exit codes."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -28,7 +31,7 @@ from beliefshare.cli import (
     parse_config_text,
     serialize_config,
 )
-from beliefshare.errors import ConfigError
+from beliefshare.errors import BeliefShareError, ConfigError
 from beliefshare.simulate import AgentSpec, CommMode, ScenarioConfig
 from reference import format_graph_text
 
@@ -618,3 +621,32 @@ class TestMain:
         argv = ["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(tmp_path / "o"), "--jobs", "2"]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
+
+
+class TestErrorKinds:
+    """main maps each error to its exit code by kind, so every kind src raises needs a row of its own."""
+
+    SRC = Path(cli.__file__).resolve().parent
+
+    def test_every_src_error_kind_has_an_exit_row(self):
+        for module in pkgutil.iter_modules([str(self.SRC)]):
+            importlib.import_module(f"beliefshare.{module.name}")
+        kinds, stack = [], [BeliefShareError]
+        while stack:
+            subclasses = stack.pop().__subclasses__()
+            kinds += subclasses
+            stack += subclasses
+        # the reference's error kinds subclass the same base but live with the tests
+        src_kinds = [kind for kind in kinds if kind.__module__.startswith("beliefshare.")]
+        assert src_kinds
+        unmapped = [k for k in src_kinds if not any(issubclass(k, row[0]) for row in cli.ERROR_EXITS)]
+        assert not unmapped
+
+    def test_no_src_raise_names_the_base(self):
+        raised = []
+        for path in sorted(self.SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.append(getattr(exc, "id", getattr(exc, "attr", None)))
+        assert raised and "BeliefShareError" not in raised

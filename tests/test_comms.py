@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from beliefshare import world
-from beliefshare.errors import ShapeError
 from beliefshare.inference import floored_log
 from beliefshare.model import make_agent_model
 from beliefshare.simulate import CommMode
 from reference import (
+    LOCATION,
     CategoricalBelief,
     LogMessage,
+    ShapeError,
     SharedMessage,
     broadcast_round,
     compose_likelihood_message,
@@ -56,7 +57,7 @@ class TestComposePosterior:
     def test_mode_tag_none_rejected(self):
         with pytest.raises(ShapeError):
             SharedMessage(0, world.OBJECT, LogMessage(world.OBJECT, np.zeros(2)), CommMode.NONE)
-        payload = LogMessage(world.LOCATION, np.zeros(2))
+        payload = LogMessage(LOCATION, np.zeros(2))
         with pytest.raises(ShapeError, match="payload factor"):
             SharedMessage(0, world.OBJECT, payload, CommMode.POSTERIOR_SHARING)
 
@@ -83,7 +84,7 @@ class TestComposeLikelihood:
 
     def test_rejects_non_object_messages(self):
         with pytest.raises(ShapeError):
-            compose_likelihood_message(0, [LogMessage(world.LOCATION, np.zeros(3))], 3)
+            compose_likelihood_message(0, [LogMessage(LOCATION, np.zeros(3))], 3)
 
 
 def run_perception(graph, start, obj_prior, vis_outcome):

