@@ -12,7 +12,7 @@ phantom node (its belief doubles every round, outrunning refutation).
 import numpy as np
 
 from beliefshare import world
-from beliefshare.simulate import SWEEP_MODES, AgentSpec, CommMode, ScenarioConfig, run_trials
+from beliefshare.simulate import SWEEP_MODES, AgentSpec, CommMode, ScenarioConfig, run_sweep
 
 
 def main():
@@ -36,9 +36,10 @@ def main():
     seeds = [9000 + k for k in range(len(combos))]
 
     print(f"{len(combos)} sampled configurations, 20 steps, temperature 4.0\n")
-    for mode in SWEEP_MODES:
-        # the step of each find, 0 where the object was not found
-        found_at = run_trials(template, mode, starts, objects, seeds)
+    # one sweep over the sampled design: every mode runs row k with seed 9000 + k
+    result = run_sweep(template, SWEEP_MODES, starts, objects, seeds)
+    # the step of each find, 0 where the object was not found
+    for mode, found_at in zip(result.modes, result.found_at):
         found = found_at > 0
         rate = found.mean()
         mean_steps = found_at[found].mean() if found.any() else float("nan")

@@ -112,6 +112,8 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
             if not 0 <= node < n_nodes:
                 raise ConfigError(f"{field}: node {node} out of range for {n_nodes} nodes")
         if kind == "bump":
+            if not nodes:
+                raise ConfigError(f"{field}: 'bump' names no node")
             weight = 2.0 if weight is None else weight
             lifted = len(set(nodes))
             if not (weight >= 0 and 0 < weight * lifted + n_nodes - lifted < np.inf):
@@ -142,7 +144,7 @@ def _read_text(path: str, what: str) -> str:
 
 def parse_config_text(text: str, base_dir: str = ".") -> tuple:
     """Parse a scenario config; returns (ScenarioConfig, sweep_modes)."""
-    settings = {}
+    settings, set_on = {}, {}  # key -> its setting, and the line that set it
     agent_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,8 +163,10 @@ def parse_config_text(text: str, base_dir: str = ".") -> tuple:
             raise ConfigError(f"{key} (line {lineno}): expected {expected}, got {value!r}") from exc
         if key == "agent":
             agent_lines.append((lineno, *setting))
+        elif key in set_on:
+            raise ConfigError(f"{key} (line {lineno}): already set on line {set_on[key]}")
         else:
-            settings[key] = setting
+            settings[key], set_on[key] = setting, lineno
 
     graph_ref = settings.get("graph", "default")
     if graph_ref == "default":
@@ -332,7 +336,8 @@ def cmd_sweep(config_path: str, repeats: int, out_dir: str, seed: int | None = N
     config, sweep_modes = parse_config_text(text, base_dir=os.path.dirname(config_path) or ".")
     if seed is not None:
         config = replace(config, seed=seed)
-    result = simulate.run_sweep(config, sweep_modes, repeats, jobs)
+    design = simulate.full_design(config, repeats, len(sweep_modes))
+    result = simulate.run_sweep(config, sweep_modes, *design, jobs)
     _export(out_dir, write_sweep_files, result, config, sweep_modes)
     for mode, (rate, stderr, count) in result.aggregates.items():
         print(f"{mode}: find rate {rate:.3f} +/- {stderr:.3f} over {count} trials")

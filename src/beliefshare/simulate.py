@@ -8,19 +8,19 @@ CSV bytes.
 
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
-trial that finds the object leaves it. ``run_trials`` hands it batches of
-TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and records
-the trace the scenario exports write. Each step scores the first policy
-step of every belief in one call, and the deeper steps
+trial that finds the object leaves it. ``run_sweep``'s workers hand it
+batches of TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and
+records the trace the scenario exports write. Each step scores the first
+policy step of every belief in one call, and the deeper steps
 ``planning.rows_per_call`` beliefs at a time, and only after the first
-moves that shift the belief. A planned or frozen trial
-draws all its uniforms as one block when its batch starts; the random
-walk draws step by step. Beliefs are updated only where a planner or a
-trace reads them, so an untraced random walk steps positions and draws
-alone. The kernel computes what the one-agent reference in
-``tests/reference.py`` (perceive, broadcast_round, expected_free_energy)
-computes one agent, one message and one policy at a time; the tests hold
-the two to agreement within 1e-12.
+moves that shift the belief. A planned or frozen trial draws all its
+uniforms as one block when its batch starts; the random walk draws step
+by step. Beliefs are updated only where a planner or a trace reads them,
+so an untraced random walk steps positions and draws alone. The kernel
+computes what the one-agent reference in ``tests/reference.py``
+(perceive, broadcast_round, expected_free_energy) computes one agent, one
+message and one policy at a time; the tests hold the two to agreement
+within 1e-12.
 """
 
 import hashlib
@@ -419,23 +419,8 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
     return TrialResult(steps_to_find is not None, steps_to_find, trace)
 
 
-def run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> np.ndarray:
-    """Trials of ``template`` under one sweep mode, one per row of (starts, objects, seeds).
-
-    Each trial takes its start nodes, object node and seed from the arrays
-    and all else, the agents' priors included, from ``template``; "random"
-    is the no-planning baseline. Trials run through the trial step in
-    batches of TRIALS_PER_BATCH. Returns each trial's step of finding the
-    object, 0 where it did not.
-    """
-    if mode not in SWEEP_MODES:
-        raise ConfigError(f"mode: unknown sweep mode {mode!r}")
-    starts, objects = np.asarray(starts), np.asarray(objects)
-    n = template.graph.n_nodes
-    if starts.shape != (len(objects), template.n_agents) or len(seeds) != len(objects):
-        raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
-    if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
-        raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
+def _run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> np.ndarray:
+    """``run_sweep``'s worker: the trials of one mode, in batches of TRIALS_PER_BATCH; their find steps."""
     if mode == RANDOM:
         config = replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM)
     else:
@@ -522,7 +507,7 @@ def self_doubt_config(
 
 @dataclass
 class SweepResult:
-    """A sweep's trials as arrays: combination j under ``modes[m]`` is trial m * C + j.
+    """A sweep's trials as arrays: design row j under ``modes[m]`` is trial m * C + j.
 
     ``starts`` is (C, agents) start nodes, ``objects`` C object nodes and
     ``seeds`` C trial seeds, each shared by every mode. ``found_at`` is
@@ -556,23 +541,35 @@ def worker_count(requested: int, n_tasks: int, cpus: int | None) -> int:
     return max(1, min(requested, cpus or 1, n_tasks))
 
 
-def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, jobs: int = 1) -> SweepResult:
-    """Find rates over every (agent starts, object location) combination.
+def full_design(template: ScenarioConfig, repeats: int, n_modes: int) -> tuple:
+    """The CLI's design: every (agent starts, object node) combination, ``repeats`` rows each.
 
-    Each trial is ``template`` with the agents' start nodes, the object's
-    node, the channel and the seed replaced; everything else, the agents'
-    priors included, carries over. The template's seed is the master seed.
-    Each combination runs ``repeats`` seeded trials per mode; the same
-    trial seed is paired across modes so mode comparisons share their
-    random draws. "random" is the no-planning baseline. At most
-    SWEEP_TRIAL_CAP trials run.
+    Returns (starts, objects, seeds) for ``run_sweep``. Rows run in
+    ``product`` order with a combination's repeats together, and row k's
+    seed is ``trial_seed(template.seed, k)``. The repeats and the sweep's
+    trial count, rows times ``n_modes``, are checked before a row is built.
     """
-    if not modes:
-        raise ConfigError("sweep_modes: need at least one mode")
     if repeats < 1:
         raise ConfigError("repeats: must be >= 1")
     if repeats > SWEEP_TRIAL_CAP:
         raise CapExceeded(f"repeats: {repeats} is over the cap of {SWEEP_TRIAL_CAP}")
+    n, width = template.graph.n_nodes, template.n_agents + 1
+    check_cap("trials", SWEEP_TRIAL_CAP, n**width * repeats * n_modes)
+    combos = product(range(n), repeat=width) if n_modes else ()  # run_sweep rejects a sweep of no modes
+    design = np.array(list(combos), dtype=int).reshape(-1, width).repeat(repeats, axis=0)
+    return design[:, :-1], design[:, -1], [trial_seed(template.seed, k) for k in range(len(design))]
+
+
+def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int = 1) -> SweepResult:
+    """Find rates over a design: one trial per row of (starts, objects, seeds) and mode.
+
+    Row j gives the agents' start nodes, the object's node and the seed, and every mode runs it
+    with that seed, so mode comparisons share their random draws. All else, the agents' priors
+    included, comes from ``template``; "random" is the no-planning baseline. At most
+    SWEEP_TRIAL_CAP trials run; ``full_design`` builds the CLI's design.
+    """
+    if not modes:
+        raise ConfigError("sweep_modes: need at least one mode")
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     if len(set(modes)) < len(modes):
@@ -583,31 +580,29 @@ def run_sweep(template: ScenarioConfig, modes=SWEEP_MODES, repeats: int = 5, job
         raise ConfigError("object: a sweep places the object on every node; set it to 'absent'")
     if template.action_policy != PLANNED:
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
+    starts, objects = np.asarray(starts), np.asarray(objects)
     n = template.graph.n_nodes
-    check_cap("trials", SWEEP_TRIAL_CAP, n ** (template.n_agents + 1) * repeats * len(modes))
-    combos = np.array(list(product(range(n), repeat=template.n_agents + 1)))
-    combos = combos.repeat(repeats, axis=0)
-    starts, objects = combos[:, :-1], combos[:, -1]
-    seeds = [trial_seed(template.seed, k) for k in range(len(combos))]
+    if starts.shape != (len(objects), template.n_agents) or len(seeds) != len(objects):
+        raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
+    if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
+        raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
+    check_cap("trials", SWEEP_TRIAL_CAP, len(objects) * len(modes))
 
-    # Trial ids run mode by mode, then by combination, then by repeat; each
-    # worker takes every jobs-th trial of each mode.
+    # Trial ids run mode by mode, then by design row; each worker takes every
+    # jobs-th row of each mode.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = worker_count(jobs, len(combos) * len(modes), cpus)
-    calls = [
-        (template, mode, starts[k::jobs], objects[k::jobs], seeds[k::jobs])
-        for mode in modes
-        for k in range(jobs)
-    ]
+    jobs = worker_count(jobs, len(objects) * len(modes), cpus)
+    stripes = [(starts[k::jobs], objects[k::jobs], seeds[k::jobs]) for k in range(jobs)]
+    calls = [(template, mode, *stripe) for mode in modes for stripe in stripes]
     if jobs > 1:
         # the pool's modules load only here: a serial sweep never imports them
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_trials, *zip(*calls)))
+            parts = list(pool.map(_run_trials, *zip(*calls)))
     else:
-        parts = [run_trials(*call) for call in calls]
-    found_at = np.empty((len(modes), len(combos)), dtype=int)
+        parts = [_run_trials(*call) for call in calls]
+    found_at = np.empty((len(modes), len(objects)), dtype=int)
     for i, part in enumerate(parts):
         found_at[i // jobs, i % jobs :: jobs] = part
     return SweepResult(tuple(modes), starts, objects, seeds, found_at)

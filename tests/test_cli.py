@@ -336,6 +336,12 @@ class TestSweepInputs:
 
     def sweep(self, tmp_path, capsys, extra="", name="out", args=(), base=SWEEP_CFG):
         (tmp_path / "tiny.txt").write_text("0: 1\n1: 0,2\n2: 1\n")
+        # a key set twice is rejected: a key that ``extra`` sets is commented out of ``base``,
+        # which keeps every line number
+        reset = {line.partition("=")[0].strip() for line in extra.splitlines()} - {"agent"}
+        base = "".join(
+            f"# {line}" if line.partition("=")[0].strip() in reset else line for line in base.splitlines(True)
+        )
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(base + extra)
         out = tmp_path / name
@@ -406,6 +412,8 @@ class TestSweepInputs:
             ("agent = 0 | bump:1:-2\n", "agent (line 8): a bump weight must be >= 0"),
             ("agent = 0 | bump:0,1,2:0\n", "agent (line 8): a bump weight must be >= 0"),
             ("agent = 0 | bump:1,2:1e308\n", "agent (line 8): a bump weight must be >= 0"),
+            ("agent = 0 | bump::7\n", "agent (line 8): 'bump' names no node"),
+            ("agent = 0 | bump:\n", "agent (line 8): 'bump' names no node"),
             ("agent = x | uniform\n", "agent (line 8): expected"),
             ("agent = 0 uniform\n", "agent (line 8): expected"),
             ("agent = 7 | uniform\n", "agents[1].start_node: 7 out of range"),
@@ -423,6 +431,16 @@ class TestSweepInputs:
             code, err, _ = self.sweep(tmp_path, capsys, extra)
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # a second 'steps' line once silently replaced the first; 'agent' lines stay repeatable
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(SWEEP_CFG.replace("graph = tiny.txt\n", "") + "agent = 1 | uniform\nsteps = 3\n")
+        out = tmp_path / "out"
+        code, err = run_main(["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert err == ["config error: steps (line 8): already set on line 3"]
+        assert not out.exists()
 
     def test_graph_fixture_node_cap(self, tmp_path, capsys):
         # a 5001 x 5001 adjacency matrix would take 25 MB

@@ -20,11 +20,11 @@ from beliefshare.simulate import (
     ScenarioConfig,
     bumped_prior,
     echo_chamber_config,
+    full_design,
     peaked_prior,
     planner_context,
     run_sweep,
     run_trial,
-    run_trials,
     self_doubt_config,
     trial_seed,
     worker_count,
@@ -212,13 +212,13 @@ class TestDraws:
     def test_random_walk_skips_beliefs_nothing_reads(self, monkeypatch):
         template = sweep_template(GRAPH, 2, steps=6)
         starts, objects, seeds = [[0, 7], [3, 3], [14, 1]], [12, 5, 1], [8, 9, 10]
-        expected = run_trials(template, "random", starts, objects, seeds)
+        expected = mode_found_at(template, "random", starts, objects, seeds)
 
         def unread(*args):
             raise AssertionError("a random-walk sweep perceived")
 
         monkeypatch.setattr(simulate, "_perceive", unread)
-        assert np.array_equal(run_trials(template, "random", starts, objects, seeds), expected)
+        assert np.array_equal(mode_found_at(template, "random", starts, objects, seeds), expected)
         monkeypatch.undo()
         # a trace reads the beliefs, so a traced random walk still updates them
         config = replace(template, object_location=None, action_policy="random")
@@ -231,10 +231,10 @@ class TestDraws:
         rng = np.random.default_rng(5)
         starts, objects = rng.integers(15, size=(20, 2)), rng.integers(15, size=20)
         seeds = [trial_seed(6, k) for k in range(20)]
-        whole = run_trials(template, "likelihood_sharing", starts, objects, seeds)
+        whole = mode_found_at(template, "likelihood_sharing", starts, objects, seeds)
         # blocks of three steps: 20 trials x 6 uniforms a step
         monkeypatch.setattr(simulate, "DRAW_BYTES", 3 * 8 * 6 * 20)
-        assert np.array_equal(run_trials(template, "likelihood_sharing", starts, objects, seeds), whole)
+        assert np.array_equal(mode_found_at(template, "likelihood_sharing", starts, objects, seeds), whole)
         assert len(set(whole.tolist())) >= 3  # unfound trials, and finds at two or more steps
 
     def test_draw_blocks_held_within_budget(self):
@@ -247,7 +247,7 @@ class TestDraws:
         starts, objects = np.zeros((256, 64), dtype=int), np.zeros(256, dtype=int)
         tracemalloc.start()
         try:
-            found = run_trials(template, "none", starts, objects, range(256))
+            found = mode_found_at(template, "none", starts, objects, range(256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -531,13 +531,21 @@ def sweep_template(graph, n_agents=1, steps=4, seed=5, **kwargs):
     )
 
 
+def full_sweep(template, modes=SWEEP_MODES, repeats=1, jobs=1):
+    """run_sweep over the CLI's design, every (starts, object) combination ``repeats`` times."""
+    return run_sweep(template, modes, *full_design(template, repeats, len(modes)), jobs)
+
+
+def mode_found_at(template, mode, starts, objects, seeds):
+    """One mode's find steps over a design, through run_sweep."""
+    return run_sweep(template, (mode,), starts, objects, seeds).found_at[0]
+
+
 class TestSweep:
     SMALL = world.WorldGraph.grid(1, 3)
 
     def test_counts_and_pairing(self):
-        result = run_sweep(
-            sweep_template(self.SMALL, seed=5), modes=("likelihood_sharing", "none"), repeats=2
-        )
+        result = full_sweep(sweep_template(self.SMALL, seed=5), ("likelihood_sharing", "none"), repeats=2)
         per_mode = 3 * 3 * 2
         assert result.aggregates["likelihood_sharing"][2] == per_mode
         assert result.modes == ("likelihood_sharing", "none")
@@ -551,39 +559,74 @@ class TestSweep:
 
     def test_deterministic_across_runs(self):
         template = sweep_template(self.SMALL, seed=9)
-        a = run_sweep(template, modes=("none", "random"), repeats=2)
-        b = run_sweep(template, modes=("none", "random"), repeats=2)
+        a = full_sweep(template, ("none", "random"), repeats=2)
+        b = full_sweep(template, ("none", "random"), repeats=2)
         assert a.aggregates == b.aggregates
         assert np.array_equal(a.found_at, b.found_at)
 
     def test_parallel_equals_serial(self):
         template = sweep_template(self.SMALL, seed=11)
-        serial = run_sweep(template, modes=("none",), repeats=2, jobs=1)
-        parallel = run_sweep(template, modes=("none",), repeats=2, jobs=2)
+        serial = full_sweep(template, ("none",), repeats=2, jobs=1)
+        parallel = full_sweep(template, ("none",), repeats=2, jobs=2)
         assert serial.aggregates == parallel.aggregates
         assert np.array_equal(serial.found_at, parallel.found_at)
+
+    def test_sampled_design_parallel_equals_serial(self):
+        # three agents: the full enumeration of the shipped grid is 15**4 rows, a sample is 30
+        template = sweep_template(GRAPH, n_agents=3, steps=4, temperature=4.0)
+        rng = np.random.default_rng(7)
+        starts, objects = rng.integers(15, size=(30, 3)), rng.integers(15, size=30)
+        seeds = [trial_seed(42, k) for k in range(30)]
+        serial = run_sweep(template, SWEEP_MODES, starts, objects, seeds, jobs=1)
+        parallel = run_sweep(template, SWEEP_MODES, starts, objects, seeds, jobs=2)
+        assert serial.found_at.shape == (len(SWEEP_MODES), 30)
+        assert np.array_equal(serial.found_at, parallel.found_at)
+        assert serial.found_at.any() and not serial.found_at.all()
+
+    def test_row_independent_of_design(self):
+        # every 7th row of a full design, swept alone, ends as it does among all the rows
+        template = sweep_template(self.SMALL, n_agents=2, seed=13)
+        starts, objects, seeds = full_design(template, 2, len(SWEEP_MODES))
+        whole = run_sweep(template, SWEEP_MODES, starts, objects, seeds)
+        part = run_sweep(template, SWEEP_MODES, starts[::7], objects[::7], seeds[::7])
+        assert part.found_at.shape == (len(SWEEP_MODES), 8)
+        assert np.array_equal(part.found_at, whole.found_at[:, ::7])
+        assert len(set(part.found_at.ravel().tolist())) >= 3  # unfound rows, and finds at two or more steps
 
     def test_template_settings_reach_trials(self):
         # an agent that cannot see the object never finds it, whatever the mode
         blind = sweep_template(self.SMALL, steps=6, observe_visibility=False)
-        result = run_sweep(blind, modes=("likelihood_sharing", "random"), repeats=2)
+        result = full_sweep(blind, ("likelihood_sharing", "random"), repeats=2)
         assert not result.found_at.any()
 
     def test_rejects_fixed_object_and_random_policy(self):
         with pytest.raises(ConfigError, match="^object"):
-            run_sweep(replace(sweep_template(self.SMALL), object_location=1), repeats=1)
+            full_sweep(replace(sweep_template(self.SMALL), object_location=1))
         with pytest.raises(ConfigError, match="^action_policy"):
-            run_sweep(replace(sweep_template(self.SMALL), action_policy="random"), repeats=1)
+            full_sweep(replace(sweep_template(self.SMALL), action_policy="random"))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            run_sweep(sweep_template(GRAPH, n_agents=3), repeats=5)
+            full_design(sweep_template(GRAPH, n_agents=3), 5, len(SWEEP_MODES))
         # on one node the power is 1: repeats x modes alone are over the cap
         with pytest.raises(CapExceeded, match="^240000 trials exceed"):
-            run_sweep(sweep_template(world.WorldGraph.grid(1, 1)), repeats=60_000)
+            full_design(sweep_template(world.WorldGraph.grid(1, 1)), 60_000, len(SWEEP_MODES))
         # repeats are capped where they enter, so the trial count is always small
         with pytest.raises(CapExceeded, match="^repeats: 1000000 is over the cap of 200000$"):
-            run_sweep(sweep_template(world.WorldGraph.grid(1, 1)), repeats=10**6)
+            full_design(sweep_template(world.WorldGraph.grid(1, 1)), 10**6, len(SWEEP_MODES))
+        # a sweep of no modes runs no trial: its design has no row, and run_sweep rejects it
+        starts, objects, seeds = full_design(sweep_template(GRAPH, n_agents=4), 5, 0)
+        assert starts.shape == (0, 4) and objects.shape == (0,) and seeds == []
+
+    def test_design_capped_by_rows_times_modes(self, monkeypatch):
+        # run_sweep caps any design it is given, before a trial runs
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a trial ran before the trial cap was checked")
+
+        monkeypatch.setattr(simulate, "_run_trials", must_not_run)
+        template, rows = sweep_template(world.WorldGraph.grid(1, 1)), np.zeros((50_001, 1), dtype=int)
+        with pytest.raises(CapExceeded, match="^200004 trials exceed the cap of 200000$"):
+            run_sweep(template, SWEEP_MODES, rows, rows[:, 0], range(50_001))
 
     @pytest.mark.parametrize("visible_bonus", [simulate.SCALE_BOUND, -simulate.SCALE_BOUND])
     def test_logits_finite_at_scale_bounds(self, visible_bonus):
@@ -592,7 +635,7 @@ class TestSweep:
             self.SMALL, n_agents=2, temperature=simulate.SCALE_BOUND, visible_bonus=visible_bonus
         )
         with np.errstate(all="raise", under="ignore"):
-            result = run_sweep(template, repeats=1)
+            result = full_sweep(template)
         assert result.found_at.shape == (len(SWEEP_MODES), 27)
 
     def test_cap_checked_before_enumerating(self):
@@ -601,19 +644,19 @@ class TestSweep:
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded):
-                run_sweep(template, repeats=5)
+                full_design(template, 5, len(SWEEP_MODES))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
     def test_bad_repeats(self):
-        with pytest.raises(ConfigError):
-            run_sweep(sweep_template(self.SMALL), repeats=0)
+        with pytest.raises(ConfigError, match="^repeats"):
+            full_design(sweep_template(self.SMALL), 0, len(SWEEP_MODES))
 
     def test_bad_jobs(self):
         with pytest.raises(ConfigError, match="^jobs"):
-            run_sweep(sweep_template(self.SMALL), repeats=1, jobs=0)
+            full_sweep(sweep_template(self.SMALL), jobs=0)
 
     def test_unknown_mode_rejected_before_anything_runs(self, monkeypatch):
         # run_sweep checks its modes itself: no pool is built and no trial of a known mode runs first
@@ -622,14 +665,14 @@ class TestSweep:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
-        monkeypatch.setattr(simulate, "run_trials", must_not_run)
+        monkeypatch.setattr(simulate, "_run_trials", must_not_run)
         for modes, jobs in ((("bogus",), 2), (("none", "bogus"), 1)):
             with pytest.raises(ConfigError, match="^sweep_modes: unknown sweep mode in"):
-                run_sweep(sweep_template(self.SMALL), modes=modes, repeats=1, jobs=jobs)
+                full_sweep(sweep_template(self.SMALL), modes, jobs=jobs)
 
 
 class TestTrialBatches:
-    """run_trials steps many trials at once; each must end as it does alone."""
+    """A sweep steps many trials at once; each must end as it does alone."""
 
     @pytest.mark.parametrize("n_agents", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -645,7 +688,7 @@ class TestTrialBatches:
         seeds = [trial_seed(3, k) for k in range(11)]
         finds = set()
         for mode in SWEEP_MODES:
-            batched = run_trials(template, mode, starts, objects, seeds)
+            batched = mode_found_at(template, mode, starts, objects, seeds)
             for k in range(11):
                 config = replace(
                     template,
@@ -665,11 +708,11 @@ class TestTrialBatches:
         # two beliefs per scoring call: one three-agent trial needs two calls; one belief per call
         # scores every belief alone
         template = sweep_template(GRAPH, 3, steps=6, temperature=4.0)
-        starts, objects, seeds = [[0, 7, 14], [3, 3, 9]], [12, 5], [8, 9]
-        whole = run_trials(template, "likelihood_sharing", starts, objects, seeds)
+        design = ([[0, 7, 14], [3, 3, 9]], [12, 5], [8, 9])  # starts, objects, seeds
+        whole = mode_found_at(template, "likelihood_sharing", *design)
         for rows in (2, 1):
             monkeypatch.setattr(planning, "SCORE_BYTES", rows * 8 * 15**2)
-            assert np.array_equal(run_trials(template, "likelihood_sharing", starts, objects, seeds), whole)
+            assert np.array_equal(mode_found_at(template, "likelihood_sharing", *design), whole)
 
     def test_rows_independent_of_batch_size(self, monkeypatch):
         template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
@@ -683,7 +726,7 @@ class TestTrialBatches:
             found = []
             for size in sizes:
                 monkeypatch.setattr(simulate, "TRIALS_PER_BATCH", size)
-                found.append(run_trials(template, mode, starts, objects, seeds))
+                found.append(mode_found_at(template, mode, starts, objects, seeds))
             assert all(np.array_equal(f, found[-1]) for f in found), mode
             finds.update(found[-1].tolist())
         assert len(finds) >= 3  # unfound trials, and finds at two or more steps
@@ -709,12 +752,14 @@ class TestTrialBatches:
 
     def test_rejects_bad_trials(self):
         template = sweep_template(GRAPH, 2)
-        with pytest.raises(ConfigError, match="^mode"):
-            run_trials(template, "shouting", [[0, 1]], [2], [1])
-        with pytest.raises(ConfigError, match="^trials"):
-            run_trials(template, "none", [[0]], [2], [1])
-        with pytest.raises(ConfigError, match="^trials"):
-            run_trials(template, "none", [[0, 15]], [2], [1])
+        with pytest.raises(ConfigError, match="^sweep_modes: unknown sweep mode in shouting$"):
+            run_sweep(template, ("shouting",), [[0, 1]], [2], [1])
+        with pytest.raises(ConfigError, match="^trials: need 2 starts"):
+            run_sweep(template, ("none",), [[0]], [2], [1])
+        with pytest.raises(ConfigError, match="^trials: need 2 starts"):
+            run_sweep(template, ("none",), [[0, 1]], [2], [1, 2])
+        with pytest.raises(ConfigError, match="^trials: start and object nodes"):
+            run_sweep(template, ("none",), [[0, 15]], [2], [1])
 
 
 class TestWorkerCount:
@@ -726,8 +771,8 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         template = sweep_template(TestSweep.SMALL, seed=11)
-        capped = run_sweep(template, modes=("none",), repeats=2, jobs=2)
-        assert np.array_equal(capped.found_at, run_sweep(template, modes=("none",), repeats=2).found_at)
+        capped = full_sweep(template, ("none",), repeats=2, jobs=2)
+        assert np.array_equal(capped.found_at, full_sweep(template, ("none",), repeats=2).found_at)
 
     def test_sweep_runs_the_pool_of_the_module(self, monkeypatch):
         # the pool's module loads inside run_sweep, and its attribute is read there: a patched pool runs
@@ -748,9 +793,9 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         template = sweep_template(TestSweep.SMALL, seed=11)
-        pooled = run_sweep(template, modes=("none",), repeats=2, jobs=2)
+        pooled = full_sweep(template, ("none",), repeats=2, jobs=2)
         assert built == [2]
-        assert np.array_equal(pooled.found_at, run_sweep(template, modes=("none",), repeats=2).found_at)
+        assert np.array_equal(pooled.found_at, full_sweep(template, ("none",), repeats=2).found_at)
 
     def test_clamped_to_cpus_and_tasks(self):
         assert worker_count(8, 100, 2) == 2
