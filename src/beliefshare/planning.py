@@ -1,10 +1,11 @@
 """Expected free energy of every policy at once, and stochastic action choice.
 
 A policy is a fixed-length tuple of move targets, and policies run in
-lexicographic order. Its score combines the information expected from
+lexicographic order. Its score G combines the information expected from
 predicted observations with a bonus in nats for the predicted chance of
-seeing the object; actions are sampled from a softmax over the negated
-scores and re-planned every timestep.
+seeing the object. An agent takes the first move of a policy drawn from
+softmax(-temperature * G) and re-plans every step, so ``first_moves``
+gives that move's marginal without building the n**horizon scores.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ POLICY_CAP = 10_000
 # The longest horizon a graph of two or more nodes plans within POLICY_CAP: 2**13 <= 10,000 < 2**14.
 HORIZON_CAP = POLICY_CAP.bit_length() - 1
 
-# Bytes of one (beliefs, policies) float array in a stacked scores call:
-# 36 beliefs on the 15-node grid at horizon 2.
+# Bytes of the last step's scores a first-move backup holds per chunk of (belief, first move)
+# pairs: 546 pairs on the 15-node grid at horizon 2, 36 at horizon 3.
 SCORE_BYTES = 1 << 16
 # A move whose target's neighbourhood holds less belief than this changes no entry of a
 # belief by half an ulp of 1 or more: it leaves the belief unchanged to float64 precision.
@@ -29,7 +30,8 @@ class PlannerContext:
 
     Scores the full lexicographic policy product without per-call tensor
     rebuilds; ``scores()`` agrees policy by policy with the one-policy
-    reference, ``expected_free_energy`` in ``tests/reference.py``. Moves
+    reference, ``expected_free_energy`` in ``tests/reference.py``, and
+    ``first_moves()`` gives the first move's marginal of its softmax. Moves
     follow the graph's rule, not a dense dynamics tensor: a move to an
     adjacent target goes there, any other target stays put.
     Also carries the log and cumulative observation tables the trial loop
@@ -58,21 +60,13 @@ class PlannerContext:
         self.observe_visibility = model.observe_visibility
         self.observe_location = model.observe_location
 
-    def moves(self, locs: np.ndarray) -> np.ndarray:
-        """Location beliefs (..., n) moved by every action: shape (..., n_actions, n).
+    def move(self, locs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Location beliefs (R, n) each moved by its row's action.
 
         Action a keeps the mass of nodes not adjacent to a and collects the
-        rest, the neighbourhood mass of its target, on node a. That mass is
-        one 2-D ``_rows_times`` product over the flattened stack, a lone
-        row doubled so that gemm rounds it: a row's bits do not depend on
-        the stack around it.
+        rest, its target's neighbourhood mass, on node a: one
+        ``_rows_times`` product, so a row's bits do not depend on the stack.
         """
-        out = locs[..., None, :] * self.stay
-        out[..., self.nodes, self.nodes] = _rows_times(locs, self.adj)
-        return out
-
-    def move(self, locs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Location beliefs (R, n) each moved by its row's action: the rule and product of ``moves``."""
         rows = np.arange(len(locs))
         out = locs * self.stay[actions]
         out[rows, actions] = _rows_times(locs, self.adj)[rows, actions]
@@ -83,8 +77,13 @@ class PlannerContext:
         y = self.off + self.beta * x
         return y * floored_log(y)
 
-    def _move_scores(self, locs: np.ndarray, objs: np.ndarray) -> np.ndarray:
-        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n) objects.
+    def _object_terms(self, objs: np.ndarray) -> tuple:
+        """Per object belief (R, n) and node: the chance of seeing the object, the log-likelihood weight."""
+        w = _rows_times(objs, self.w_vis_T) if self.observe_visibility else np.zeros(objs.shape)
+        return _rows_times(objs, self.vis_T), w + (self.w_loc if self.observe_location else 0.0)
+
+    def _move_scores(self, locs: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n) object terms.
 
         Returns (R, K, n_actions) from per-node sums, without building the
         moved beliefs. A move to a keeps the nodes not adjacent to a and
@@ -94,61 +93,94 @@ class PlannerContext:
         which makes an outcome's probability ``off + beta * x``, x the
         belief on its node.
         """
+        c, w = c[:, None], w[:, None]
         mass = _rows_times(locs, self.adj)
         score = np.zeros(mass.shape)
-        w = self.w_loc if self.observe_location else 0.0
         if self.observe_visibility:
-            c = _rows_times(objs, self.vis_T)[:, None]
             q = _rows_times(locs * c, self.stay) + mass * c
-            score += q * floored_log(q) + (1.0 - q) * floored_log(1.0 - q)
+            # one outcome's entropy term at a time: a backup chunk holds few arrays of its size at once
+            score += q * floored_log(q)
+            score += (1.0 - q) * floored_log(1.0 - q)
             score -= self.visible_bonus * q
-            w = w + _rows_times(objs, self.w_vis_T)[:, None]
         if self.observe_location:
             score += _rows_times(self._loc_entropy(locs), self.stay) + self.emptied
             score += self._loc_entropy(mass)
-        return score - (_rows_times(locs * w, self.stay) + mass * w)
+        score -= _rows_times(locs * w, self.stay) + mass * w
+        return score
 
-    def scores(
-        self, loc: np.ndarray, obj: np.ndarray, horizon: int, first: np.ndarray | None = None
-    ) -> np.ndarray:
+    def scores(self, loc: np.ndarray, obj: np.ndarray, horizon: int) -> np.ndarray:
         """G over all n_actions**horizon policies in lexicographic order.
 
         One belief pair gives G of shape (P,); stacks of R location and
         object beliefs give (R, P). The object never moves: every step
-        scores against the same belief. ``first`` is the first step's
-        scores of these beliefs, as ``scores(loc, obj, 1)`` gives them; a
-        caller that scored the first step over a larger stack passes its
-        rows and skips that step.
-
-        Later steps are scored only after first moves that shift belief.
-        A first move whose target's neighbourhood holds less than
-        INERT_MASS (eps / 2) changes each entry of the belief by under
-        eps / 2, so it leaves the belief unchanged to float64 precision: a
-        trajectory that starts with it scores each later step as the
-        trajectory without it scored the step before. Every product is one
-        2-D ``_rows_times`` product over the flattened stack, a lone row
-        doubled so that gemm, not gemv, rounds it: a row's scores do not
-        depend on the stack around it.
+        scores against the same belief. A first move whose target's
+        neighbourhood holds less than INERT_MASS leaves the belief as it
+        is, so a trajectory that starts with it scores each later step as
+        the trajectory without it scored the step before. Every product is
+        a ``_rows_times`` product: a row's scores do not depend on the
+        stack around it.
         """
         locs = np.atleast_2d(loc)
-        objs = np.atleast_2d(obj)
+        terms = self._object_terms(np.atleast_2d(obj))
         n = locs.shape[-1]
-        G = self._move_scores(locs[:, None], objs)[:, 0] if first is None else np.atleast_2d(first)
+        G = self._move_scores(locs[:, None], *terms)[:, 0]
         step = G[:, None]  # (R, trajectories, n_actions): the last scored step
+        if horizon > 1:
+            # only the first moves that shift belief go on
+            shifts = _rows_times(locs, self.adj) >= INERT_MASS
+            rows, actions = np.nonzero(shifts)
+            locs, terms = self.move(locs[rows], actions), [t[rows] for t in terms]
         for depth in range(1, horizon):
-            # every current trajectory extended by every action
-            locs = self.moves(locs)
-            if depth == 1:
-                # only the first moves that shift belief go on
-                shifts = locs[:, self.nodes, self.nodes] >= INERT_MASS
-                locs, objs = locs[shifts], objs[np.nonzero(shifts)[0]]
-            locs = locs.reshape(len(locs), -1, n)
+            if depth > 1:
+                # every current trajectory extended by every action
+                locs = self.move(np.repeat(locs, n, axis=0), np.tile(self.nodes, len(locs)))
             # after an inert first move, a step scores as the step before did without that move
             later = np.repeat(step[:, None], n, axis=1)
-            later[shifts] = self._move_scores(locs, objs)
+            later[shifts] = self._move_scores(locs.reshape(len(rows), -1, n), *terms)
             step = later.reshape(len(G), -1, n)
             G = (G[..., None] + step).reshape(len(G), -1)
         return G if np.ndim(loc) > 1 else G[0]
+
+    def first_moves(self, locs, objs, horizon: int, temperature: float) -> np.ndarray:
+        """First-move scores F (R, n): softmax(-temperature * F) is each first move's share of
+        softmax(-temperature * ``scores``), with no policy array built.
+
+        G adds up step by step, so the share is exp(-temperature * s1 + V): s1 the first step's score,
+        V the log-sum-exp of the later steps' logits, backed up over the (belief, move) pairs that
+        shift belief; an inert move, at any step, leaves the belief as it is. F is s1 - V / temperature
+        plus a constant per row, which keeps the division in range at any temperature.
+        """
+        logits = -temperature * self.scores(locs, objs, 1)
+        logits = self._backup(locs, self._object_terms(objs), horizon, temperature, logits)
+        return (logits.max(axis=-1, keepdims=True) - logits) / temperature
+
+    def _backup(self, locs, terms, horizon, temperature, logits=None):
+        """-temperature * s1 + V of every first move; ``logits``, if given, is -temperature * s1."""
+        if logits is None:
+            logits = -temperature * self._move_scores(locs[:, None], *terms)[:, 0]
+        if horizon == 1:
+            return logits
+        n = len(self.nodes)
+        shifts = _rows_times(locs, self.adj) >= INERT_MASS
+        pairs = np.flatnonzero(shifts)
+        later = np.empty(logits.shape)
+        chunk = rows_per_call(n, horizon - 1)
+        for k in range(0, len(pairs), chunk):
+            r, a = np.divmod(pairs[k : k + chunk], n)
+            later[r, a] = _logsumexp(
+                self._backup(self.move(locs[r], a), [t[r] for t in terms], horizon - 1, temperature)
+            )
+        inert = ~shifts.all(axis=1)
+        inert_terms = [t[inert] for t in terms]
+        unmoved = self._backup(locs[inert], inert_terms, horizon - 1, temperature, logits[inert])
+        later[inert] = np.where(shifts[inert], later[inert], _logsumexp(unmoved)[:, None])
+        return logits + later
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, stably."""
+    top = x.max(axis=-1)
+    return top + np.log(np.exp(x - top[..., None]).sum(axis=-1))
 
 
 def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -164,14 +196,15 @@ def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def rows_per_call(n_nodes: int, horizon: int) -> int:
-    """Beliefs per stacked ``scores`` call: each (beliefs, P) float array within SCORE_BYTES; at least 1."""
+    """(Belief, move) pairs per backup chunk, at least 1: with n_nodes**horizon scores each, SCORE_BYTES."""
     return max(1, SCORE_BYTES // (8 * n_nodes**horizon))
 
 
 def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:
-    """Policy index per row of G from softmax(-temperature * G), by inverse CDF at the uniforms u.
+    """Index per row of the scores G from softmax(-temperature * G), by inverse CDF at the uniforms u.
 
-    One score vector and one uniform give one index. ``temperature`` > 0: ScenarioConfig checks it.
+    One score vector and one uniform give one index; the trial loop passes first-move scores, so
+    the index is the move. ``temperature`` > 0: ScenarioConfig checks it.
     """
     cum = np.cumsum(softmax(-temperature * G), axis=-1)
     # the CDF is sorted, so counting entries <= u is searchsorted(side="right")

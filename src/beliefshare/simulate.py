@@ -10,17 +10,17 @@ One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_sweep``'s workers hand it
 batches of TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and
-records the trace the scenario exports write. Each step scores the first
-policy step of every belief in one call, and the deeper steps
-``planning.rows_per_call`` beliefs at a time, and only after the first
-moves that shift the belief. A planned or frozen trial draws all its
-uniforms as one block when its batch starts; the random walk draws step
-by step. Beliefs are updated only where a planner or a trace reads them,
-so an untraced random walk steps positions and draws alone. The kernel
-computes what the one-agent reference in ``tests/reference.py``
-(perceive, broadcast_round, expected_free_energy) computes one agent, one
-message and one policy at a time; the tests hold the two to agreement
-within 1e-12.
+records the trace the scenario exports write. Each step draws every
+agent's move from the marginal of its first move, in one
+``PlannerContext.first_moves`` call that builds no policy array: it backs
+up the later steps only after the first moves that shift the belief. A
+planned or frozen trial draws all its uniforms as one block when its
+batch starts; the random walk draws step by step. Beliefs are updated
+only where a planner or a trace reads them, so an untraced random walk
+steps positions and draws alone. The kernel computes what the one-agent
+reference in ``tests/reference.py`` (perceive, broadcast_round,
+expected_free_energy) computes one agent, one message and one policy at a
+time; the tests hold the two to agreement within 1e-12.
 """
 
 import hashlib
@@ -294,23 +294,10 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
 
 
 def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
-    """Every agent's move target, sampled from its policy scores at the (B, agents) uniforms u."""
+    """Every agent's move target, drawn from its first move's marginal at the (B, agents) uniforms u."""
     n = config.graph.n_nodes
-    shape = u.shape
-    locs, objs, u = locs.reshape(-1, n), objs.reshape(-1, n), u.ravel()
-    # the first step's scores are the size of the beliefs: one call scores every row
-    first = planner.scores(locs, objs, 1)
-    rows = planning.rows_per_call(n, config.horizon)
-    # deeper steps go by chunk, each sampled as soon as it is scored: no (rows, policies) array is held
-    policies = np.concatenate([
-        planning.sample_policy_index(
-            planner.scores(locs[k : k + rows], objs[k : k + rows], config.horizon, first[k : k + rows]),
-            config.temperature,
-            u[k : k + rows],
-        )
-        for k in range(0, len(u), rows)
-    ])
-    return (policies // n ** (config.horizon - 1)).reshape(shape)
+    F = planner.first_moves(locs.reshape(-1, n), objs.reshape(-1, n), config.horizon, config.temperature)
+    return planning.sample_policy_index(F, config.temperature, u.ravel()).reshape(u.shape)
 
 
 def _step_trials(config, planner, starts, objects, seeds, trace=None):
@@ -584,6 +571,8 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     n = template.graph.n_nodes
     if starts.shape != (len(objects), template.n_agents) or len(seeds) != len(objects):
         raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
+    if starts.size and not all(np.issubdtype(a.dtype, np.integer) for a in (starts, objects)):
+        raise ConfigError("trials: start and object nodes must be integers")
     if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
         raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
     check_cap("trials", SWEEP_TRIAL_CAP, len(objects) * len(modes))

@@ -224,11 +224,13 @@ class TestMovementRule:
         B1 = build_B1(graph).table
         locs = rng.dirichlet(np.ones(n), size=3)
         dense = np.einsum("ija,kj->kai", B1, locs)  # belief k moved by action a
-        assert np.abs(planner.moves(locs) - dense).max() <= 1e-12
-        assert np.abs(planner.moves(locs[:, None])[:, 0] - dense).max() <= 1e-12
-        # the trial loop's form: one action per belief
+        # the scorer's form: every belief moved by every action
+        every = planner.move(np.repeat(locs, n, axis=0), np.tile(np.arange(n), 3)).reshape(3, n, n)
+        assert np.abs(every - dense).max() <= 1e-12
+        # the trial loop's form: one action per belief, each row as it moves in any stack
         actions = rng.integers(n, size=3)
-        assert np.array_equal(planner.move(locs, actions), planner.moves(locs)[np.arange(3), actions])
+        assert np.array_equal(planner.move(locs, actions), every[np.arange(3), actions])
+        assert np.array_equal(planner.move(locs[:1], actions[:1]), every[:1, actions[0]])
 
     def test_context_holds_no_cubic_array(self):
         model, _ = grid_model()
@@ -281,12 +283,10 @@ class TestStackedScores:
         assert stacked.shape == (rows, n**horizon)
         assert np.abs(stacked - single).max() <= 1e-12
         assert np.array_equal(stacked, single)
-        # the trial kernel's path: the first step over the whole stack, deeper steps two rows a call
-        first = planner.scores(locs, objs, 1)
-        batched = np.concatenate([
-            planner.scores(locs[k : k + 2], objs[k : k + 2], horizon, first[k : k + 2]) for k in range(0, rows, 2)
-        ])
-        assert np.array_equal(batched, single)
+        # the trial kernel's path: first-move scores, a row's bits the same in any stack
+        marginal = planner.first_moves(locs, objs, horizon, 4.0)
+        alone = [planner.first_moves(loc[None], obj[None], horizon, 4.0) for loc, obj in zip(locs, objs)]
+        assert np.array_equal(marginal, np.concatenate(alone))
 
     @pytest.mark.parametrize("horizon", [1, 2, 3])
     def test_peaked_beliefs_match_expected_free_energy(self, horizon):
@@ -304,7 +304,7 @@ class TestStackedScores:
             ring = graph.adjacency[edge].astype(bool)
             loc[edge] = INERT_MASS * scale - loc[ring].sum() + loc[edge]
             loc[peak] = 1.0 - (loc.sum() - loc[peak])
-            mass = planner.moves(loc)[np.arange(n), np.arange(n)]
+            mass = planner.move(np.tile(loc, (n, 1)), np.arange(n))[np.arange(n), np.arange(n)]
             assert (mass[edge] >= INERT_MASS) == (scale > 1)
             assert (mass < INERT_MASS).any() and (mass >= INERT_MASS).sum() > 1
             obj = rng.dirichlet(np.ones(n))
@@ -321,20 +321,19 @@ class TestStackedScores:
         ones = np.ones((3, 1))
         for horizon in (1, 2, 3):
             stacked = planner.scores(ones, ones, horizon)
-            first = planner.scores(ones, ones, 1)
-            chunks = [planner.scores(row, row, horizon, f) for row, f in zip(ones[:, None], first[:, None])]
-            assert np.array_equal(np.concatenate(chunks), stacked)
             assert np.array_equal(planner.scores(ones[0], ones[0], horizon), stacked[0])
+            marginal = planner.first_moves(ones, ones, horizon, 4.0)
+            assert np.array_equal(planner.first_moves(ones[:1], ones[:1], horizon, 4.0), marginal[:1])
             G_ref = expected_free_energy(model, initial_state(model), (0,) * horizon).G
             assert abs(stacked[0, 0] - G_ref) <= 1e-12
 
     def test_rows_per_call(self):
-        # one 15-node, horizon-2 belief scores 225 policies, 1,800 bytes
+        # a (belief, move) pair with two later steps on 15 nodes ends in 225 scores, 1,800 bytes
         assert rows_per_call(15, 2) == SCORE_BYTES // 1_800
-        # one 100-node belief alone (80 kB) exceeds the budget: still one row
+        # one such 100-node pair alone (80 kB) exceeds the budget: still one pair a chunk
         assert 8 * 100**2 > SCORE_BYTES
         assert rows_per_call(100, 2) == 1
-        # the longest horizon: 2**13 policies fill the budget; one node plans one policy
+        # the longest horizon: 2**13 scores fill the budget; on one node a pair ends in one score
         assert rows_per_call(2, HORIZON_CAP) == 1
         assert rows_per_call(1, HORIZON_CAP) == SCORE_BYTES // 8
 

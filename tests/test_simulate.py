@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from beliefshare import planning, simulate, world
 from beliefshare.errors import CapExceeded, ConfigError
+from beliefshare.inference import softmax
 from beliefshare.model import make_agent_model
 from beliefshare.simulate import (
     SWEEP_MODES,
@@ -190,6 +191,106 @@ class TestTrialLoopEquivalence:
             alone = run_trial(replace(config, agents=[agents[i]])).trace
             assert np.array_equal(together.object_beliefs[:, i], alone.object_beliefs[:, 0])
             assert np.array_equal(together.location_beliefs[:, i], alone.location_beliefs[:, 0])
+
+
+class TestChannelIdentities:
+    """What each channel makes of a round's evidence, on traced kernel trials of two and three agents.
+
+    b_j is agent j's object belief before a round and S the round's visibility messages summed over
+    the agents. Posterior sharing gives every agent softmax(sum_j log b_j + S), so the agents agree
+    after the first round and from then on log b_t = K log b_(t-1) + S_t: evidence a rounds old counts
+    K**a times. Likelihood sharing gives agent i softmax(log b_i + S): its own prior and every agent's
+    evidence, each counted once. Both hold to 1e-12 until a belief entry falls under FLOOR; the 1e-16
+    probability floor breaks them once a belief saturates.
+    """
+
+    FLOOR = 1e-12
+
+    @staticmethod
+    def traces(mode):
+        """(K, priors, trace) of run_trial at K = 2 and 3, the agents' object priors unequal."""
+        priors = [peaked_prior(15, 3, 0.6), bumped_prior(15, (1, 12)), np.ones(15) / 15]
+        for starts in ((3, 12), (0, 7, 14)):
+            agents = [AgentSpec(start, prior) for start, prior in zip(starts, priors)]
+            for seed in range(6):
+                config = ScenarioConfig(
+                    graph=GRAPH, agents=agents, object_location=9, comm_mode=mode, steps=12, seed=seed,
+                )
+                yield len(agents), np.array(priors[: len(agents)]), run_trial(config).trace
+
+    def rounds(self, trace, priors):
+        """(t, beliefs before round t, beliefs after it, S_t), up to the first belief entry under FLOOR."""
+        before = priors
+        for t in range(trace.n_steps):
+            after = trace.object_beliefs[t]
+            if min(before.min(), after.min()) < self.FLOOR:
+                return
+            yield t, before, after, trace.object_likelihood_sums[t].sum(axis=0)
+            before = after
+
+    def test_posterior_sharing_compounds(self):
+        checked = 0
+        for K, priors, trace in self.traces(CommMode.POSTERIOR_SHARING):
+            for t, before, after, S in self.rounds(trace, priors):
+                assert np.abs(after - softmax(np.log(before).sum(axis=0) + S)).max() <= 1e-12
+                if t:
+                    assert np.abs(after - softmax(K * np.log(before[0]) + S)).max() <= 1e-12
+                checked += t > 0
+        assert checked >= 20
+
+    def test_likelihood_sharing_counts_evidence_once(self):
+        checked = 0
+        for _, priors, trace in self.traces(CommMode.LIKELIHOOD_SHARING):
+            for t, before, after, S in self.rounds(trace, priors):
+                assert np.abs(after - softmax(np.log(before) + S)).max() <= 1e-12
+                checked += t > 0
+        assert checked >= 20
+
+
+class TestFirstMoveMarginal:
+    """The kernel samples each first move from softmax(-T * first_moves): that is the first move's
+    share of softmax(-T * scores) over every policy, to 1e-12."""
+
+    TEMPERATURES = (0.01, 1.0, 4.0, 1000.0)
+
+    @staticmethod
+    def location_beliefs(n, rng):
+        """One-hot, near one-hot (tails of 1e-16, as the kernel holds them, and of 1e-18) and diffuse."""
+        peaks = rng.integers(n, size=3)
+        locs = [np.eye(n)[peaks[0]]]
+        for peak, tail in zip(peaks[1:], (1e-16, 1e-18)):
+            loc = np.full(n, tail)
+            loc[peak] = 1.0 - tail * (n - 1)
+            locs.append(loc)
+        return np.array([*locs, rng.dirichlet(np.ones(n))])
+
+    def assert_marginal(self, planner, locs, objs, horizon):
+        n = locs.shape[1]
+        G = planner.scores(locs, objs, horizon)
+        for temperature in self.TEMPERATURES:
+            shares = softmax(-temperature * G).reshape(len(locs), n, -1).sum(axis=-1)
+            marginal = softmax(-temperature * planner.first_moves(locs, objs, horizon, temperature))
+            assert np.abs(marginal - shares).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_configs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, config, horizon, seed):
+        rng = np.random.default_rng(seed)
+        locs = self.location_beliefs(config.graph.n_nodes, rng)
+        objs = np.array([config.agents[k % config.n_agents].object_prior for k in range(len(locs))])
+        self.assert_marginal(planner_context(config), locs, objs, horizon)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_grid(self, horizon):
+        rng = np.random.default_rng(horizon)
+        for observe_location, observe_visibility in ((True, True), (False, True), (True, False)):
+            config = sweep_style_config(
+                (0, 7), None, CommMode.NONE, 0, observe_location=observe_location,
+                observe_visibility=observe_visibility, visible_bonus=-1.5 if observe_location else 2.0,
+            )
+            locs = self.location_beliefs(15, rng)
+            objs = rng.dirichlet(np.ones(15), size=len(locs))
+            self.assert_marginal(planner_context(config), locs, objs, horizon)
 
 
 class TestDraws:
@@ -732,23 +833,24 @@ class TestTrialBatches:
         assert len(finds) >= 3  # unfound trials, and finds at two or more steps
 
     def test_batch_scores_held_one_chunk_at_a_time(self):
-        # a (512, 225) score array alone would take 0.9 MB; chunks of SCORE_BYTES stay far below
+        # a (512, 225) policy score array alone would take 0.9 MB; the backup holds SCORE_BYTES of pairs
+        # at a time. One-hot locations shift belief with ~4 first moves each; diffuse ones with all 15
         config = sweep_template(GRAPH, 2)
         planner = planner_context(config)
         rng = np.random.default_rng(2)
         positions = rng.integers(15, size=(256, 2))
-        locs = np.eye(15)[positions]
         objs = rng.dirichlet(np.ones(15), size=(256, 2))
         u = rng.random((256, 2))
-        simulate._choose_actions(config, planner, locs, objs, u)  # warm up
-        tracemalloc.start()
-        try:
-            actions = simulate._choose_actions(config, planner, locs, objs, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert actions.shape == (256, 2)
-        assert peak < 16 * planning.SCORE_BYTES
+        for locs in (np.eye(15)[positions], rng.dirichlet(np.ones(15), size=(256, 2))):
+            simulate._choose_actions(config, planner, locs, objs, u)  # warm up
+            tracemalloc.start()
+            try:
+                actions = simulate._choose_actions(config, planner, locs, objs, u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert actions.shape == (256, 2)
+            assert peak < 16 * planning.SCORE_BYTES
 
     def test_rejects_bad_trials(self):
         template = sweep_template(GRAPH, 2)
@@ -758,8 +860,13 @@ class TestTrialBatches:
             run_sweep(template, ("none",), [[0]], [2], [1])
         with pytest.raises(ConfigError, match="^trials: need 2 starts"):
             run_sweep(template, ("none",), [[0, 1]], [2], [1, 2])
-        with pytest.raises(ConfigError, match="^trials: start and object nodes"):
+        with pytest.raises(ConfigError, match="^trials: start and object nodes must lie in 0..14$"):
             run_sweep(template, ("none",), [[0, 15]], [2], [1])
+        # node indices are integers: floats and booleans would index the kernel's arrays wrongly
+        with pytest.raises(ConfigError, match="^trials: start and object nodes must be integers$"):
+            run_sweep(template, ("none",), [[0, 1]] * 8, [3.0] * 8, list(range(8)))
+        with pytest.raises(ConfigError, match="^trials: start and object nodes must be integers$"):
+            run_sweep(template, ("none",), [[0, 1]] * 8, [True] * 8, list(range(8)))
 
 
 class TestWorkerCount:
