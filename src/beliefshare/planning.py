@@ -5,7 +5,8 @@ lexicographic order. Its score G combines the information expected from
 predicted observations with a bonus in nats for the predicted chance of
 seeing the object. An agent takes the first move of a policy drawn from
 softmax(-temperature * G) and re-plans every step, so ``first_moves``
-gives that move's marginal without building the n**horizon scores.
+gives the logits of that move's marginal without building the n**horizon
+scores, and ``sample_policy_index`` draws from their softmax.
 """
 
 import numpy as np
@@ -28,10 +29,10 @@ INERT_MASS = np.finfo(float).eps / 2
 class PlannerContext:
     """Precomputed arrays for one agent model's graph, observations and visible bonus.
 
-    Scores the full lexicographic policy product without per-call tensor
-    rebuilds; ``scores()`` agrees policy by policy with the one-policy
-    reference, ``expected_free_energy`` in ``tests/reference.py``, and
-    ``first_moves()`` gives the first move's marginal of its softmax. Moves
+    ``scores()`` gives the full lexicographic policy product and agrees
+    policy by policy with the one-policy reference,
+    ``expected_free_energy`` in ``tests/reference.py``; ``first_moves()``
+    gives the logits of the first move's marginal of its softmax. Moves
     follow the graph's rule, not a dense dynamics tensor: a move to an
     adjacent target goes there, any other target stays put.
     Also carries the log and cumulative observation tables the trial loop
@@ -112,47 +113,31 @@ class PlannerContext:
         """G over all n_actions**horizon policies in lexicographic order.
 
         One belief pair gives G of shape (P,); stacks of R location and
-        object beliefs give (R, P). The object never moves: every step
-        scores against the same belief. A first move whose target's
-        neighbourhood holds less than INERT_MASS leaves the belief as it
-        is, so a trajectory that starts with it scores each later step as
-        the trajectory without it scored the step before. Every product is
-        a ``_rows_times`` product: a row's scores do not depend on the
-        stack around it.
+        object beliefs give (R, P). The first step's scores plus, after each
+        move, the scores of the moved belief over the remaining horizon. The
+        object never moves: every step scores against the same belief. Every
+        product is a ``_rows_times`` product: a row's scores do not depend on
+        the stack around it.
         """
-        locs = np.atleast_2d(loc)
-        terms = self._object_terms(np.atleast_2d(obj))
-        n = locs.shape[-1]
-        G = self._move_scores(locs[:, None], *terms)[:, 0]
-        step = G[:, None]  # (R, trajectories, n_actions): the last scored step
+        locs, objs = np.atleast_2d(loc), np.atleast_2d(obj)
+        G = self._move_scores(locs[:, None], *self._object_terms(objs))[:, 0]
         if horizon > 1:
-            # only the first moves that shift belief go on
-            shifts = _rows_times(locs, self.adj) >= INERT_MASS
-            rows, actions = np.nonzero(shifts)
-            locs, terms = self.move(locs[rows], actions), [t[rows] for t in terms]
-        for depth in range(1, horizon):
-            if depth > 1:
-                # every current trajectory extended by every action
-                locs = self.move(np.repeat(locs, n, axis=0), np.tile(self.nodes, len(locs)))
-            # after an inert first move, a step scores as the step before did without that move
-            later = np.repeat(step[:, None], n, axis=1)
-            later[shifts] = self._move_scores(locs.reshape(len(rows), -1, n), *terms)
-            step = later.reshape(len(G), -1, n)
-            G = (G[..., None] + step).reshape(len(G), -1)
+            n = len(self.nodes)
+            moved = self.move(np.repeat(locs, n, axis=0), np.tile(self.nodes, len(locs)))
+            later = self.scores(moved, np.repeat(objs, n, axis=0), horizon - 1).reshape(len(locs), n, -1)
+            G = (G[..., None] + later).reshape(len(locs), -1)
         return G if np.ndim(loc) > 1 else G[0]
 
     def first_moves(self, locs, objs, horizon: int, temperature: float) -> np.ndarray:
-        """First-move scores F (R, n): softmax(-temperature * F) is each first move's share of
+        """First-move logits (R, n): their softmax is each first move's share of
         softmax(-temperature * ``scores``), with no policy array built.
 
-        G adds up step by step, so the share is exp(-temperature * s1 + V): s1 the first step's score,
-        V the log-sum-exp of the later steps' logits, backed up over the (belief, move) pairs that
-        shift belief; an inert move, at any step, leaves the belief as it is. F is s1 - V / temperature
-        plus a constant per row, which keeps the division in range at any temperature.
+        G adds up step by step, so a first move's share is exp(-temperature * s1 + V): s1 the first
+        step's score, V the log-sum-exp of the later steps' logits, backed up over the (belief, move)
+        pairs that shift belief; an inert move, at any step, leaves the belief as it is.
         """
         logits = -temperature * self.scores(locs, objs, 1)
-        logits = self._backup(locs, self._object_terms(objs), horizon, temperature, logits)
-        return (logits.max(axis=-1, keepdims=True) - logits) / temperature
+        return self._backup(locs, self._object_terms(objs), horizon, temperature, logits)
 
     def _backup(self, locs, terms, horizon, temperature, logits=None):
         """-temperature * s1 + V of every first move; ``logits``, if given, is -temperature * s1."""
@@ -200,13 +185,13 @@ def rows_per_call(n_nodes: int, horizon: int) -> int:
     return max(1, SCORE_BYTES // (8 * n_nodes**horizon))
 
 
-def sample_policy_index(G: np.ndarray, temperature: float, u) -> np.ndarray:
-    """Index per row of the scores G from softmax(-temperature * G), by inverse CDF at the uniforms u.
+def sample_policy_index(logits: np.ndarray, u) -> np.ndarray:
+    """Index per row of ``logits`` drawn from their softmax, by inverse CDF at the uniforms u.
 
-    One score vector and one uniform give one index; the trial loop passes first-move scores, so
-    the index is the move. ``temperature`` > 0: ScenarioConfig checks it.
+    One logit vector and one uniform give one index; the trial loop passes first-move logits, so
+    the index is the move.
     """
-    cum = np.cumsum(softmax(-temperature * G), axis=-1)
+    cum = np.cumsum(softmax(logits), axis=-1)
     # the CDF is sorted, so counting entries <= u is searchsorted(side="right")
     idx = (cum <= np.asarray(u)[..., None]).sum(axis=-1)
-    return np.minimum(idx, G.shape[-1] - 1)
+    return np.minimum(idx, logits.shape[-1] - 1)

@@ -11,8 +11,8 @@ of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_sweep``'s workers hand it
 batches of TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and
 records the trace the scenario exports write. Each step draws every
-agent's move from the marginal of its first move, in one
-``PlannerContext.first_moves`` call that builds no policy array: it backs
+agent's move from the softmax of its first-move logits, which one
+``PlannerContext.first_moves`` call gives without a policy array: it backs
 up the later steps only after the first moves that shift the belief. A
 planned or frozen trial draws all its uniforms as one block when its
 batch starts; the random walk draws step by step. Beliefs are updated
@@ -296,8 +296,8 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
 def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
     """Every agent's move target, drawn from its first move's marginal at the (B, agents) uniforms u."""
     n = config.graph.n_nodes
-    F = planner.first_moves(locs.reshape(-1, n), objs.reshape(-1, n), config.horizon, config.temperature)
-    return planning.sample_policy_index(F, config.temperature, u.ravel()).reshape(u.shape)
+    logits = planner.first_moves(locs.reshape(-1, n), objs.reshape(-1, n), config.horizon, config.temperature)
+    return planning.sample_policy_index(logits, u.ravel()).reshape(u.shape)
 
 
 def _step_trials(config, planner, starts, objects, seeds, trace=None):
@@ -576,6 +576,8 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
         raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
     check_cap("trials", SWEEP_TRIAL_CAP, len(objects) * len(modes))
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ConfigError("trials: seeds must be non-negative integers")
 
     # Trial ids run mode by mode, then by design row; each worker takes every
     # jobs-th row of each mode.

@@ -5,8 +5,8 @@ checked: categorical beliefs and log messages, the factor-wise perception
 sweep, the two sharing channels and a synchronous broadcast round, and
 expected free energy by explicit enumeration over outcomes. No command,
 sweep or scenario runs this module. The tests hold it to exact Bayes, and
-hold the kernel (``simulate._step_trials``, ``PlannerContext.scores``)
-to it within 1e-12.
+hold the kernel (``simulate._step_trials``, ``PlannerContext.first_moves``)
+and the full policy scorer ``PlannerContext.scores`` to it within 1e-12.
 
 The agent model is the package's ``model.AgentModel``, whose tables are
 plain arrays; the reference wraps them in its own tensor classes.

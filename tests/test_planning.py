@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from beliefshare import world
 from beliefshare.errors import CapExceeded
+from beliefshare.inference import softmax
 from beliefshare.model import make_agent_model
 from beliefshare.planning import (
     HORIZON_CAP,
@@ -292,7 +293,8 @@ class TestStackedScores:
     def test_peaked_beliefs_match_expected_free_energy(self, horizon):
         # the kernel's location beliefs: one node at ~1 and tails of 1e-20 to 1e-17, where most first
         # moves shift less than INERT_MASS; one node's neighbourhood holds just below or just above
-        # it, or ~1e-9, which a looser rule would leave unscored
+        # it, or ~1e-9, which a looser rule would leave unscored. The full G and the first-move
+        # backup, the one path that skips inert moves, both hold to the reference.
         graph = world.WorldGraph.grid(1, 6)
         n, edge = graph.n_nodes, 5
         rng = np.random.default_rng(horizon)
@@ -311,6 +313,10 @@ class TestStackedScores:
             state = BeliefState(CategoricalBelief(LOCATION, loc), CategoricalBelief(world.OBJECT, obj))
             G_ref = np.array([expected_free_energy(model, state, p).G for p in policies])
             assert np.abs(planner.scores(loc, obj, horizon) - G_ref).max() <= 1e-12
+            for temperature in (0.01, 1.0, 4.0, 1000.0):
+                shares = softmax(-temperature * G_ref).reshape(n, -1).sum(axis=-1)
+                logits = planner.first_moves(loc[None], obj[None], horizon, temperature)[0]
+                assert np.abs(softmax(logits) - shares).max() <= 1e-12
 
     def test_one_shifting_move(self):
         # on one node the only first move shifts belief: a single belief scores its later steps as a
@@ -339,24 +345,24 @@ class TestStackedScores:
 
 
 class TestSelectAction:
-    """Action choice: a policy index drawn from softmax(-temperature * G)."""
+    """Action choice: an index drawn from the softmax of logits, here -temperature * G."""
 
     def test_equal_scores_sample_uniformly(self):
         G = np.full(4, -1.5)
         rng = np.random.default_rng(8)
         counts = np.bincount(
-            [sample_policy_index(G, 1.0, rng.random()) for _ in range(8000)], minlength=4
+            [sample_policy_index(-G, rng.random()) for _ in range(8000)], minlength=4
         )
         assert np.all(np.abs(counts / 8000 - 0.25) < 0.02)
 
     def test_sharp_temperature_picks_argmin(self):
         G = np.array([0.0, -1.0])
         rng = np.random.default_rng(9)
-        picks = [sample_policy_index(G, 200.0, rng.random()) for _ in range(500)]
+        picks = [sample_policy_index(-200.0 * G, rng.random()) for _ in range(500)]
         assert np.mean(np.asarray(picks) == 1) > 0.999
 
     def test_softmax_probability_point_eight(self):
         G = np.array([0.0, np.log(4)])
         rng = np.random.default_rng(10)
-        first = np.mean([sample_policy_index(G, 1.0, rng.random()) == 0 for _ in range(10_000)])
+        first = np.mean([sample_policy_index(-G, rng.random()) == 0 for _ in range(10_000)])
         assert first == pytest.approx(0.8, abs=0.02)

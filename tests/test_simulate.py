@@ -112,7 +112,7 @@ def reference_trial(config):
                 actions.append(int(rng.integers(n)))
             else:
                 G = planner.scores(states[i].location.probs, states[i].object.probs, config.horizon)
-                idx = planning.sample_policy_index(G, config.temperature, rng.random())
+                idx = planning.sample_policy_index(-config.temperature * G, rng.random())
                 actions.append(idx // n ** (config.horizon - 1))
             states[i].last_action = actions[i]
         all_actions.append(actions)
@@ -248,8 +248,8 @@ class TestChannelIdentities:
 
 
 class TestFirstMoveMarginal:
-    """The kernel samples each first move from softmax(-T * first_moves): that is the first move's
-    share of softmax(-T * scores) over every policy, to 1e-12."""
+    """The kernel samples each first move from the softmax of its logits, ``first_moves``: that is
+    the first move's share of softmax(-T * scores) over every policy, to 1e-12."""
 
     TEMPERATURES = (0.01, 1.0, 4.0, 1000.0)
 
@@ -269,7 +269,7 @@ class TestFirstMoveMarginal:
         G = planner.scores(locs, objs, horizon)
         for temperature in self.TEMPERATURES:
             shares = softmax(-temperature * G).reshape(len(locs), n, -1).sum(axis=-1)
-            marginal = softmax(-temperature * planner.first_moves(locs, objs, horizon, temperature))
+            marginal = softmax(planner.first_moves(locs, objs, horizon, temperature))
             assert np.abs(marginal - shares).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -291,6 +291,20 @@ class TestFirstMoveMarginal:
             locs = self.location_beliefs(15, rng)
             objs = rng.dirichlet(np.ones(15), size=len(locs))
             self.assert_marginal(planner_context(config), locs, objs, horizon)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_temperature_extremes(self, horizon):
+        # the logits are -T * s1 + V with no division by T: at the smallest temperatures every first
+        # move's later steps sum to the same (h - 1) log n, so the moves are equally likely
+        rng = np.random.default_rng(horizon)
+        planner = planner_context(sweep_style_config((0, 7), None, CommMode.NONE, 0))
+        locs = self.location_beliefs(15, rng)
+        objs = rng.dirichlet(np.ones(15), size=len(locs))
+        for temperature in (5e-324, 1e-300):
+            logits = planner.first_moves(locs, objs, horizon, temperature)
+            assert np.isfinite(logits).all()
+            assert np.abs(softmax(logits) - 1 / 15).max() <= 1e-12
+        assert np.isfinite(planner.first_moves(locs, objs, horizon, simulate.SCALE_BOUND)).all()
 
 
 class TestDraws:
@@ -867,6 +881,12 @@ class TestTrialBatches:
             run_sweep(template, ("none",), [[0, 1]] * 8, [3.0] * 8, list(range(8)))
         with pytest.raises(ConfigError, match="^trials: start and object nodes must be integers$"):
             run_sweep(template, ("none",), [[0, 1]] * 8, [True] * 8, list(range(8)))
+        # a seed of None would draw from the OS, so two identical sweeps would differ
+        for seeds in ([None] * 8, [-1] + list(range(7)), [1.5] + list(range(7)), [True] * 8):
+            with pytest.raises(ConfigError, match="^trials: seeds must be non-negative integers$"):
+                run_sweep(template, ("none",), [[0, 1]] * 8, [3] * 8, seeds)
+        # SeedSequence takes any non-negative integer
+        assert run_sweep(template, ("none",), [[0, 1]], [3], [2**70]).found_at.shape == (1, 1)
 
 
 class TestWorkerCount:

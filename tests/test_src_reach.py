@@ -1,9 +1,10 @@
 """Every function in ``src`` runs when the program is used: the package holds no code that only
-the tests reach. The one-agent reference the tests check the kernel against lives in
-``tests/reference.py``."""
+the tests reach, and no parameter that its function ignores. The one-agent reference the tests
+check the kernel against lives in ``tests/reference.py``. README's src line count is current."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -112,3 +113,29 @@ def test_every_src_name_is_read_in_src():
     unread = [f"{module}.{name}" for module, name in defined if name not in loaded]
     assert not unread, f"no src code reads these names: {unread}"
     assert not warned, f"these src modules import warnings: {warned}"
+
+
+def test_every_src_parameter_is_read():
+    """Every parameter of a src function is read in its body (``self`` and ``cls`` excepted): no
+    caller passes a value that the function ignores."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            names = [n for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}: {fn.name}({p})" for p in params if p not in {"self", "cls"} | read]
+    assert not unread, f"these src parameters are never read: {unread}"
+
+
+def test_readme_line_count_is_current():
+    """README's Layout gives the src line count as ``wc -l`` would print its total."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"src/beliefshare/\s+([\d,]+) lines \(wc -l\)", readme)
+    assert stated, "README states no src line count"
+    counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == counted
