@@ -5,8 +5,9 @@ lexicographic order. Its score G combines the information expected from
 predicted observations with a bonus in nats for the predicted chance of
 seeing the object. An agent takes the first move of a policy drawn from
 softmax(-temperature * G) and re-plans every step, so ``first_moves``
-gives the logits of that move's marginal without building the n**horizon
-scores, and ``sample_policy_index`` draws from their softmax.
+gives the logits of that move's marginal by calling itself on each moved
+belief, with no n**horizon scores built; ``sample_policy_index`` draws
+from their softmax.
 """
 
 import numpy as np
@@ -84,9 +85,9 @@ class PlannerContext:
         return _rows_times(objs, self.vis_T), w + (self.w_loc if self.observe_location else 0.0)
 
     def _move_scores(self, locs: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """-(info gain + utility) of one step after every move: (R, K, n) locations, (R, n) object terms.
+        """-(info gain + utility) of one step after every move: (R, n) locations and object terms.
 
-        Returns (R, K, n_actions) from per-node sums, without building the
+        Returns (R, n_actions) from per-node sums, without building the
         moved beliefs. A move to a keeps the nodes not adjacent to a and
         puts the ``mass`` of the rest on a, so a linear term L'.w is
         (L * w) @ stay + mass * w. The location entropy sums over nodes
@@ -94,7 +95,6 @@ class PlannerContext:
         which makes an outcome's probability ``off + beta * x``, x the
         belief on its node.
         """
-        c, w = c[:, None], w[:, None]
         mass = _rows_times(locs, self.adj)
         score = np.zeros(mass.shape)
         if self.observe_visibility:
@@ -120,7 +120,7 @@ class PlannerContext:
         the stack around it.
         """
         locs, objs = np.atleast_2d(loc), np.atleast_2d(obj)
-        G = self._move_scores(locs[:, None], *self._object_terms(objs))[:, 0]
+        G = self._move_scores(locs, *self._object_terms(objs))
         if horizon > 1:
             n = len(self.nodes)
             moved = self.move(np.repeat(locs, n, axis=0), np.tile(self.nodes, len(locs)))
@@ -133,32 +133,23 @@ class PlannerContext:
         softmax(-temperature * ``scores``), with no policy array built.
 
         G adds up step by step, so a first move's share is exp(-temperature * s1 + V): s1 the first
-        step's score, V the log-sum-exp of the later steps' logits, backed up over the (belief, move)
-        pairs that shift belief; an inert move, at any step, leaves the belief as it is.
+        step's score, V the log-sum-exp of this call on the moved belief over the remaining horizon.
         """
-        logits = -temperature * self.scores(locs, objs, 1)
-        return self._backup(locs, self._object_terms(objs), horizon, temperature, logits)
+        return self._backup(locs, objs, horizon, temperature, -temperature * self.scores(locs, objs, 1))
 
-    def _backup(self, locs, terms, horizon, temperature, logits=None):
-        """-temperature * s1 + V of every first move; ``logits``, if given, is -temperature * s1."""
-        if logits is None:
-            logits = -temperature * self._move_scores(locs[:, None], *terms)[:, 0]
+    def _backup(self, locs, objs, horizon, temperature, logits):
+        """``logits`` (-temperature * s1) plus V of every first move: for a move that shifts belief, from
+        ``first_moves`` of the moved rows; for an inert one, from the row's own backup one step shorter."""
         if horizon == 1:
             return logits
         n = len(self.nodes)
-        shifts = _rows_times(locs, self.adj) >= INERT_MASS
-        pairs = np.flatnonzero(shifts)
-        later = np.empty(logits.shape)
-        chunk = rows_per_call(n, horizon - 1)
+        h = horizon - 1
+        later = np.repeat(_logsumexp(self._backup(locs, objs, h, temperature, logits))[:, None], n, axis=1)
+        pairs = np.flatnonzero(_rows_times(locs, self.adj) >= INERT_MASS)
+        chunk = rows_per_call(n, h)
         for k in range(0, len(pairs), chunk):
             r, a = np.divmod(pairs[k : k + chunk], n)
-            later[r, a] = _logsumexp(
-                self._backup(self.move(locs[r], a), [t[r] for t in terms], horizon - 1, temperature)
-            )
-        inert = ~shifts.all(axis=1)
-        inert_terms = [t[inert] for t in terms]
-        unmoved = self._backup(locs[inert], inert_terms, horizon - 1, temperature, logits[inert])
-        later[inert] = np.where(shifts[inert], later[inert], _logsumexp(unmoved)[:, None])
+            later[r, a] = _logsumexp(self.first_moves(self.move(locs[r], a), objs[r], h, temperature))
         return logits + later
 
 

@@ -567,9 +567,13 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
         raise ConfigError("object: a sweep places the object on every node; set it to 'absent'")
     if template.action_policy != PLANNED:
         raise ConfigError("action_policy: a sweep plans; list 'random' in sweep_modes instead")
-    starts, objects = np.asarray(starts), np.asarray(objects)
     n = template.graph.n_nodes
-    if starts.shape != (len(objects), template.n_agents) or len(seeds) != len(objects):
+    try:
+        starts, objects, rows = np.asarray(starts), np.asarray(objects), np.shape(seeds)
+        shaped = len(rows) == 1 and rows == objects.shape and starts.shape == (*rows, template.n_agents)
+    except ValueError:  # numpy's error for a ragged list
+        shaped = False
+    if not shaped:
         raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
     if starts.size and not all(np.issubdtype(a.dtype, np.integer) for a in (starts, objects)):
         raise ConfigError("trials: start and object nodes must be integers")

@@ -594,6 +594,43 @@ class TestSweepInputs:
         assert len(err) == 1 and err[0].startswith("cannot write outputs:")
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def steps_copy(config, steps, tmp_path):
+    """A copy in tmp_path of a shipped config, set to run ``steps`` steps."""
+    text, count = re.subn(r"(?m)^steps = \d+$", f"steps = {steps}", config.read_text(encoding="utf-8"))
+    assert count == 1, config.name
+    copy = tmp_path / config.name
+    copy.write_text(text, encoding="utf-8")
+    return copy
+
+
+class TestShippedConfigs:
+    def test_every_config_runs(self, tmp_path, capsys):
+        # a shipped config cannot rot: each one sweeps, on a one-step copy
+        configs = sorted(CONFIGS.glob("*.cfg"))
+        assert len(configs) >= 2
+        for config in configs:
+            out = tmp_path / f"{config.stem}_out"
+            argv = ["sweep", "--config", str(steps_copy(config, 1, tmp_path)), "--repeats", "1", "--out", str(out)]
+            assert run_main(argv, capsys) == (EXIT_OK, []), config.name
+
+    def test_self_doubt_sweep_pairs_with_find_rate_sweep(self, tmp_path):
+        trials = []
+        for name in ("find_rate_sweep.cfg", "self_doubt_sweep.cfg"):
+            out = tmp_path / f"{name}_out"
+            assert cmd_sweep(str(steps_copy(CONFIGS / name, 3, tmp_path)), 1, str(out)) == EXIT_OK
+            trials.append(read_csv(out / "trials.csv")[1:])
+        uniform, peaked = trials
+        # row by row the same trial id, mode, starts, object and seed
+        assert [row[:5] for row in uniform] == [row[:5] for row in peaked]
+        # the random walk reads no prior, so its trials end alike; nothing here gates the planned modes
+        random = [k for k, row in enumerate(uniform) if row[1] == "random"]
+        assert len(random) == len(uniform) // 4
+        assert [uniform[k] for k in random] == [peaked[k] for k in random]
+
+
 class TestMain:
     def test_import_leaves_scipy_unloaded(self):
         # SciPy is a test-only dependency: the package must not import it

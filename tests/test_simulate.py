@@ -292,6 +292,18 @@ class TestFirstMoveMarginal:
             objs = rng.dirichlet(np.ones(15), size=len(locs))
             self.assert_marginal(planner_context(config), locs, objs, horizon)
 
+    def test_horizon_four_on_a_path(self):
+        # one level deeper than the other tests, 4**4 = 256 policies: first_moves recurses three times
+        path = world.WorldGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rng = np.random.default_rng(4)
+        locs = self.location_beliefs(4, rng)
+        objs = rng.dirichlet(np.ones(4), size=len(locs))
+        config = ScenarioConfig(
+            graph=path, agents=[AgentSpec(0, objs[0])], object_location=None, comm_mode=CommMode.NONE, steps=1,
+            seed=0,
+        )
+        self.assert_marginal(planner_context(config), locs, objs, 4)
+
     @pytest.mark.parametrize("horizon", [1, 2, 3])
     def test_temperature_extremes(self, horizon):
         # the logits are -T * s1 + V with no division by T: at the smallest temperatures every first
@@ -874,6 +886,13 @@ class TestTrialBatches:
             run_sweep(template, ("none",), [[0]], [2], [1])
         with pytest.raises(ConfigError, match="^trials: need 2 starts"):
             run_sweep(template, ("none",), [[0, 1]], [2], [1, 2])
+        # a design of the wrong kind or shape: no seed or object list, ragged starts, nested seeds
+        for starts, objects, seeds in (
+            ([[0, 1]], [3], None), ([[0, 1]], [3], 5), ([[0, 1]], None, [1]), ([[0, 1], [2]], [3, 4], [1, 2]),
+            ([[0, 1]], 3, [1]), ([[0, 1]], [3], [[1]]), ([[0, 1]], [3], [[1], [2, 3]]),
+        ):
+            with pytest.raises(ConfigError, match="^trials: need 2 starts, an object and a seed per trial$"):
+                run_sweep(template, ("none",), starts, objects, seeds)
         with pytest.raises(ConfigError, match="^trials: start and object nodes must lie in 0..14$"):
             run_sweep(template, ("none",), [[0, 15]], [2], [1])
         # node indices are integers: floats and booleans would index the kernel's arrays wrongly
@@ -887,6 +906,9 @@ class TestTrialBatches:
                 run_sweep(template, ("none",), [[0, 1]] * 8, [3] * 8, seeds)
         # SeedSequence takes any non-negative integer
         assert run_sweep(template, ("none",), [[0, 1]], [3], [2**70]).found_at.shape == (1, 1)
+        unsigned = run_sweep(template, ("none",), [[0, 1]] * 2, [3] * 2, np.array([7, 2**64 - 1], dtype=np.uint64))
+        listed = run_sweep(template, ("none",), [[0, 1]] * 2, [3] * 2, [7, 2**64 - 1])
+        assert np.array_equal(unsigned.found_at, listed.found_at)
 
 
 class TestWorkerCount:
