@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import planning, world
-from .errors import CapExceeded, ConfigError, check_cap
+from .errors import ConfigError, check_count, is_integer
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
@@ -98,47 +98,46 @@ class ScenarioConfig:
 
     def __post_init__(self):
         n = self.graph.n_nodes
-        if not self.agents:
-            raise ConfigError("agents: need at least one agent")
-        if len(self.agents) > AGENT_CAP:
-            raise CapExceeded(f"agents: {len(self.agents)} is over the cap of {AGENT_CAP}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.steps > STEP_CAP:
-            raise CapExceeded(f"steps: {self.steps} is over the cap of {STEP_CAP}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
-        if self.horizon > planning.HORIZON_CAP:
-            raise CapExceeded(f"horizon: {self.horizon} is over the cap of {planning.HORIZON_CAP}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        check_count("agents", len(self.agents or ()), 1, AGENT_CAP)
+        self.steps = check_count("steps", self.steps, 1, STEP_CAP)
+        self.horizon = check_count("horizon", self.horizon, 1, planning.HORIZON_CAP)
+        self.seed = check_count("seed", self.seed, 0)
         if not 0 < self.temperature <= SCALE_BOUND:
             raise ConfigError(f"temperature: must be in (0, {SCALE_BOUND:g}], got {self.temperature}")
         if not abs(self.visible_bonus) <= SCALE_BOUND:
             raise ConfigError(f"visible_bonus: must lie within +-{SCALE_BOUND:g}, got {self.visible_bonus}")
+        if self.comm_mode not in list(CommMode):
+            raise ConfigError(f"comm_mode: must be one of {', '.join(CommMode)}, got {self.comm_mode!r}")
         self.comm_mode = CommMode(self.comm_mode)
+        for flag in ("observe_location", "observe_visibility"):
+            if not isinstance(getattr(self, flag), (bool, np.bool_)):
+                raise ConfigError(f"{flag}: must be True or False, got {getattr(self, flag)!r}")
+            setattr(self, flag, bool(getattr(self, flag)))
         if self.movement not in (FREE, FROZEN):
             raise ConfigError(f"movement: must be 'free' or 'frozen', got {self.movement!r}")
         if self.action_policy not in (PLANNED, RANDOM):
             raise ConfigError("action_policy: must be 'plan' or 'random'")
         if self.action_policy == PLANNED and self.movement == FREE:
-            check_cap("policies", planning.POLICY_CAP, n**self.horizon)
+            check_count("policies", n**self.horizon, 1, planning.POLICY_CAP)
         for i, spec in enumerate(self.agents):
-            if not 0 <= spec.start_node < n:
-                raise ConfigError(f"agents[{i}].start_node: {spec.start_node} out of range")
+            if not (is_integer(spec.start_node) and 0 <= spec.start_node < n):
+                raise ConfigError(f"agents[{i}].start_node: {spec.start_node!r} out of range")
             if spec.object_prior.shape != (n,):
                 raise ConfigError(f"agents[{i}].object_prior: length must be {n}")
             if not np.all(np.isfinite(spec.object_prior)):
                 raise ConfigError(f"agents[{i}].object_prior: entries must be finite")
             if np.any(spec.object_prior < 0) or abs(spec.object_prior.sum() - 1.0) > 1e-9:
                 raise ConfigError(f"agents[{i}].object_prior: not a normalized distribution")
-        if self.object_location is not None and not 0 <= self.object_location < n:
-            raise ConfigError(f"object_location: {self.object_location} out of range")
+        if self.object_location is not None:
+            if not (is_integer(self.object_location) and 0 <= self.object_location < n):
+                raise ConfigError(f"object_location: {self.object_location!r} out of range")
+            self.object_location = int(self.object_location)
         if self.forced_visibility is not None:
             if not self.observe_visibility:
                 raise ConfigError("forced_visibility: requires observe_visibility on")
-            if self.forced_visibility not in (world.VISIBLE, world.NOT_VISIBLE):
+            if not is_integer(self.forced_visibility) or self.forced_visibility not in (0, 1):
                 raise ConfigError(f"forced_visibility: must be 0 or 1, got {self.forced_visibility!r}")
+            self.forced_visibility = int(self.forced_visibility)
 
     @property
     def n_agents(self) -> int:
@@ -536,12 +535,9 @@ def full_design(template: ScenarioConfig, repeats: int, n_modes: int) -> tuple:
     seed is ``trial_seed(template.seed, k)``. The repeats and the sweep's
     trial count, rows times ``n_modes``, are checked before a row is built.
     """
-    if repeats < 1:
-        raise ConfigError("repeats: must be >= 1")
-    if repeats > SWEEP_TRIAL_CAP:
-        raise CapExceeded(f"repeats: {repeats} is over the cap of {SWEEP_TRIAL_CAP}")
+    repeats = check_count("repeats", repeats, 1, SWEEP_TRIAL_CAP)
     n, width = template.graph.n_nodes, template.n_agents + 1
-    check_cap("trials", SWEEP_TRIAL_CAP, n**width * repeats * n_modes)
+    check_count("trials", n**width * repeats * n_modes, 0, SWEEP_TRIAL_CAP)
     combos = product(range(n), repeat=width) if n_modes else ()  # run_sweep rejects a sweep of no modes
     design = np.array(list(combos), dtype=int).reshape(-1, width).repeat(repeats, axis=0)
     return design[:, :-1], design[:, -1], [trial_seed(template.seed, k) for k in range(len(design))]
@@ -557,8 +553,7 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     """
     if not modes:
         raise ConfigError("sweep_modes: need at least one mode")
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+    jobs = check_count("jobs", jobs, 1)
     if len(set(modes)) < len(modes):
         raise ConfigError(f"sweep_modes: each mode may be listed once, got {','.join(modes)}")
     if not set(modes) <= set(SWEEP_MODES):
@@ -579,8 +574,8 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
         raise ConfigError("trials: start and object nodes must be integers")
     if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
         raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
-    check_cap("trials", SWEEP_TRIAL_CAP, len(objects) * len(modes))
-    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in seeds):
+    check_count("trials", len(objects) * len(modes), 0, SWEEP_TRIAL_CAP)
+    if not all(is_integer(s) and s >= 0 for s in seeds):
         raise ConfigError("trials: seeds must be non-negative integers")
 
     # Trial ids run mode by mode, then by design row; each worker takes every

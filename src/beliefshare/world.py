@@ -9,15 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ConfigError
+from .errors import CapExceeded, ConfigError, check_count, is_integer
 
 OBJECT = "object"
 
 VISIBLE = 0
 NOT_VISIBLE = 1
 
-# Largest graph a fixture may describe. A planning context holds about a
-# dozen n x n float tables, ~100 MB at this size.
+# Largest graph, checked before any n x n array is built. A planning context
+# holds about a dozen n x n float tables, ~100 MB at this size.
 NODE_CAP = 1_000
 
 # Observation noise levels of the canonical tensors.
@@ -34,6 +34,7 @@ class WorldGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
+        self.n_nodes = check_count("nodes", self.n_nodes, 1, NODE_CAP)
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.shape != (self.n_nodes, self.n_nodes):
             raise ConfigError(f"graph: adjacency must be {self.n_nodes}x{self.n_nodes}")
@@ -58,23 +59,20 @@ class WorldGraph:
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "WorldGraph":
+        n_nodes = check_count("nodes", n_nodes, 1, NODE_CAP)
         adj = np.zeros((n_nodes, n_nodes), dtype=bool)
         for a, b in edges:
+            if not all(is_integer(node) and 0 <= node < n_nodes for node in (a, b)):
+                raise ConfigError(f"neighbour {b} of node {a} out of range")
             adj[a, b] = adj[b, a] = True
         return cls(n_nodes, adj)
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "WorldGraph":
         """rows x cols lattice with 4-neighbourhood, node index = row * cols + col."""
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                node = r * cols + c
-                if c + 1 < cols:
-                    edges.append((node, node + 1))
-                if r + 1 < rows:
-                    edges.append((node, node + cols))
-        return cls.from_edges(rows * cols, edges)
+        n = check_count("nodes", check_count("rows", rows, 1) * check_count("cols", cols, 1), 1, NODE_CAP)
+        across = [(node, node + 1) for node in range(n) if (node + 1) % cols]
+        return cls.from_edges(n, across + [(node, node + cols) for node in range(n - cols)])
 
 
 def parse_graph_text(text: str) -> WorldGraph:
@@ -96,14 +94,8 @@ def parse_graph_text(text: str) -> WorldGraph:
         entries[node] = nbs
     if not entries:
         raise ConfigError("graph fixture is empty")
-    n = max(entries) + 1
-    if n > NODE_CAP:
-        raise CapExceeded(f"graph fixture has {n} nodes, over the cap of {NODE_CAP}")
     edges = [(node, nb) for node, nbs in entries.items() for nb in nbs]
-    for node, nb in edges:
-        if not 0 <= nb < n:
-            raise ConfigError(f"neighbour {nb} of node {node} out of range")
-    return WorldGraph.from_edges(n, edges)
+    return WorldGraph.from_edges(max(entries) + 1, edges)
 
 
 def default_graph() -> WorldGraph:

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from beliefshare import world
-from beliefshare.errors import BeliefShareError, CapExceeded, check_cap
+from beliefshare.errors import BeliefShareError, check_count
 from beliefshare.inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
 from beliefshare.planning import HORIZON_CAP, POLICY_CAP
 from beliefshare.simulate import CommMode
@@ -563,9 +563,8 @@ def enumerate_policies(n_actions: int, horizon: int) -> list:
     """All action sequences of the given length, in lexicographic order; at most POLICY_CAP."""
     if horizon < 1 or n_actions < 1:
         raise EmptyInput("horizon and action count must be at least 1")
-    if horizon > HORIZON_CAP:
-        raise CapExceeded(f"horizon: {horizon} is over the cap of {HORIZON_CAP}")
-    check_cap("policies", POLICY_CAP, n_actions**horizon)
+    check_count("horizon", horizon, 1, HORIZON_CAP)
+    check_count("policies", n_actions**horizon, 1, POLICY_CAP)
     return list(product(range(n_actions), repeat=horizon))
 
 

@@ -303,7 +303,7 @@ class TestCmdSweep:
         argv = ["sweep", "--config", str(cfg), "--repeats", "5", "--out", str(tmp_path / "out")]
         code, err = run_main(argv, capsys)
         assert code == EXIT_CAP
-        assert err == ["resource cap: 1012500 trials exceed the cap of 200000"]
+        assert err == ["resource cap: trials: 1012500 is over the cap of 200000"]
 
     def test_bad_config_usage_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -452,7 +452,7 @@ class TestSweepInputs:
         finally:
             tracemalloc.stop()
         assert code == EXIT_CAP
-        assert len(err) == 1 and "5001 nodes" in err[0]
+        assert err == ["resource cap: nodes: 5001 is over the cap of 1000"]
         assert peak < 1_000_000
 
     @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ class TestEnumeratePolicies:
         with pytest.raises(CapExceeded):
             enumerate_policies(15, 4)
         # the horizon is capped first, so the counted power stays small enough to name exactly
-        with pytest.raises(CapExceeded, match="^759375 policies exceed the cap of 10000$"):
+        with pytest.raises(CapExceeded, match="^policies: 759375 is over the cap of 10000$"):
             enumerate_policies(15, 5)
         with pytest.raises(CapExceeded, match="^horizon: 100000 is over the cap of 13$"):
             enumerate_policies(15, 100_000)

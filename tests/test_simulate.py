@@ -443,7 +443,7 @@ class TestConfigValidation:
             sweep_style_config((0,), 15, CommMode.NONE, 1)
         with pytest.raises(ConfigError, match="movement"):
             sweep_style_config((0,), None, CommMode.NONE, 1, movement="warp")
-        with pytest.raises(ConfigError, match="^agents: need at least one"):
+        with pytest.raises(ConfigError, match="^agents: must be >= 1, got 0$"):
             ScenarioConfig(graph=GRAPH, agents=[], object_location=None, comm_mode=CommMode.NONE)
         with pytest.raises(ConfigError, match="^horizon: must be >= 1"):
             sweep_style_config((0,), None, CommMode.NONE, 1, horizon=0)
@@ -476,7 +476,7 @@ class TestConfigValidation:
         assert sweep_template(two, horizon=planning.HORIZON_CAP, movement=simulate.FROZEN).horizon == 13
         with pytest.raises(CapExceeded, match="^horizon: 14 is over the cap of 13$"):
             sweep_template(two, horizon=14, movement=simulate.FROZEN)
-        with pytest.raises(CapExceeded, match="^759375 policies exceed the cap of 10000$"):
+        with pytest.raises(CapExceeded, match="^policies: 759375 is over the cap of 10000$"):
             sweep_style_config((0,), None, CommMode.NONE, 1, horizon=5)
 
     def test_every_setting_enters_config_hash(self):
@@ -736,7 +736,7 @@ class TestSweep:
         with pytest.raises(CapExceeded):
             full_design(sweep_template(GRAPH, n_agents=3), 5, len(SWEEP_MODES))
         # on one node the power is 1: repeats x modes alone are over the cap
-        with pytest.raises(CapExceeded, match="^240000 trials exceed"):
+        with pytest.raises(CapExceeded, match="^trials: 240000 is over the cap of 200000$"):
             full_design(sweep_template(world.WorldGraph.grid(1, 1)), 60_000, len(SWEEP_MODES))
         # repeats are capped where they enter, so the trial count is always small
         with pytest.raises(CapExceeded, match="^repeats: 1000000 is over the cap of 200000$"):
@@ -752,7 +752,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "_run_trials", must_not_run)
         template, rows = sweep_template(world.WorldGraph.grid(1, 1)), np.zeros((50_001, 1), dtype=int)
-        with pytest.raises(CapExceeded, match="^200004 trials exceed the cap of 200000$"):
+        with pytest.raises(CapExceeded, match="^trials: 200004 is over the cap of 200000$"):
             run_sweep(template, SWEEP_MODES, rows, rows[:, 0], range(50_001))
 
     @pytest.mark.parametrize("visible_bonus", [simulate.SCALE_BOUND, -simulate.SCALE_BOUND])

@@ -139,3 +139,21 @@ def test_readme_line_count_is_current():
     assert stated, "README states no src line count"
     counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == counted
+
+
+def test_caps_are_checked_in_one_place():
+    """``CapExceeded`` is raised only by ``errors.check_count``, and by the fixture reader for a
+    node number too long for ``int()`` to read, which leaves no value to check."""
+    raised = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # raise statement -> the innermost function around it
+        raiser = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raiser.update({node: fn.name for node in ast.walk(fn) if isinstance(node, ast.Raise)})
+        for node, fn in raiser.items():
+            kind = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(kind, "id", getattr(kind, "attr", None)) == "CapExceeded":
+                raised.append(f"{path.name}: {fn}")
+    assert sorted(raised) == ["errors.py: check_count", "world.py: parse_graph_text"]
