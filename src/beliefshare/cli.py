@@ -220,71 +220,58 @@ def serialize_config(config: ScenarioConfig, sweep_modes=None) -> str:
 # Output writers
 
 
-def _open_csv(path: str):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_rows(out_dir: str, name: str, header, rows, delimiter: str = ",") -> str:
+    """Write ``out_dir/name``: the ``header`` row unless None, then ``rows``; returns the path.
+
+    The one place the export format is decided: UTF-8, LF line ends, fields joined by ``delimiter``.
+    """
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def write_trace_files(trace, out_dir: str) -> list:
-    """Belief-trace CSV, per-agent heatmap matrices, and the payload log."""
-    paths = []
-
-    trace_path = os.path.join(out_dir, "trace.csv")
-    fh, writer = _open_csv(trace_path)
-    with fh:
-        writer.writerow(["t", "agent_id", "factor", "node", "probability"])
-        for t in range(trace.n_steps):
-            for agent in range(trace.n_agents):
-                for node in range(trace.object_beliefs.shape[2]):
-                    writer.writerow(
-                        [t, agent, world.OBJECT, node, _fmt(trace.object_beliefs[t, agent, node])]
-                    )
-    paths.append(trace_path)
-
-    for agent in range(trace.n_agents):
-        matrix_path = os.path.join(out_dir, f"heatmap_agent{agent}.tsv")
-        with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
-            for node in range(trace.object_beliefs.shape[2]):
-                row = trace.object_beliefs[:, agent, node]
-                fh.write("\t".join(_fmt(p) for p in row) + "\n")
-        paths.append(matrix_path)
-
-    messages_path = os.path.join(out_dir, "messages.csv")
-    fh, writer = _open_csv(messages_path)
-    with fh:
-        writer.writerow(["t", "sender", "receiver", "mode", "node", "logit"])
-        sent = trace.comm_mode != CommMode.NONE
-        for t in range(trace.n_steps if sent else 0):
-            for receiver, sender in permutations(range(trace.n_agents), 2):
-                for node, logit in enumerate(trace.messages[t, sender]):
-                    writer.writerow([t, sender, receiver, trace.comm_mode.value, node, _fmt(logit)])
-    paths.append(messages_path)
-    return paths
+    """Belief-trace CSV, per-agent heatmap matrices (a row per node), and the payload log."""
+    beliefs = trace.object_beliefs
+    cells = ([t, agent, world.OBJECT, node, _fmt(p)] for (t, agent, node), p in np.ndenumerate(beliefs))
+    sent = trace.comm_mode != CommMode.NONE
+    messages = (
+        [t, sender, receiver, trace.comm_mode.value, node, _fmt(logit)]
+        for t in range(trace.n_steps if sent else 0)
+        for receiver, sender in permutations(range(trace.n_agents), 2)
+        for node, logit in enumerate(trace.messages[t, sender])
+    )
+    return [
+        _write_rows(out_dir, "trace.csv", ["t", "agent_id", "factor", "node", "probability"], cells),
+        *(
+            _write_rows(out_dir, f"heatmap_agent{agent}.tsv", None, (map(_fmt, row) for row in matrix), "\t")
+            for agent, matrix in enumerate(beliefs.transpose(1, 2, 0))
+        ),
+        _write_rows(out_dir, "messages.csv", ["t", "sender", "receiver", "mode", "node", "logit"], messages),
+    ]
 
 
 def write_sweep_files(result: SweepResult, out_dir: str) -> list:
     """trials.csv, one row per trial (combination j of mode m is trial m * C + j), and aggregate.csv."""
-    trials_path = os.path.join(out_dir, "trials.csv")
-    fh, writer = _open_csv(trials_path)
-    with fh:
-        writer.writerow(
-            ["trial_id", "mode", "agent_starts", "object_location", "seed", "found", "steps_to_find"]
-        )
-        starts = [";".join(str(s) for s in row) for row in result.starts.tolist()]
-        combos = list(zip(starts, result.objects.tolist(), result.seeds))
-        for m, mode in enumerate(result.modes):
-            for j, step in enumerate(result.found_at[m].tolist()):
-                writer.writerow(
-                    [m * len(combos) + j, mode, *combos[j], "true" if step else "false", step or ""]
-                )
-
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    fh, writer = _open_csv(aggregate_path)
-    with fh:
-        writer.writerow(["mode", "find_rate", "stderr", "n_trials"])
-        for mode, (rate, stderr, count) in result.aggregates.items():
-            writer.writerow([mode, _fmt(rate), _fmt(stderr), count])
-    return [trials_path, aggregate_path]
+    starts = [";".join(str(s) for s in row) for row in result.starts.tolist()]
+    combos = list(zip(starts, result.objects.tolist(), result.seeds))
+    trials = (
+        [m * len(combos) + j, mode, *combos[j], "true" if step else "false", step or ""]
+        for m, mode in enumerate(result.modes)
+        for j, step in enumerate(result.found_at[m].tolist())
+    )
+    aggregates = (
+        [mode, _fmt(rate), _fmt(stderr), count] for mode, (rate, stderr, count) in result.aggregates.items()
+    )
+    trials_header = ["trial_id", "mode", "agent_starts", "object_location", "seed", "found", "steps_to_find"]
+    return [
+        _write_rows(out_dir, "trials.csv", trials_header, trials),
+        _write_rows(out_dir, "aggregate.csv", ["mode", "find_rate", "stderr", "n_trials"], aggregates),
+    ]
 
 
 def _export(out_dir: str, write_files, record, config: ScenarioConfig, sweep_modes=None) -> None:

@@ -73,7 +73,10 @@ class AgentSpec:
     object_prior: np.ndarray
 
     def __post_init__(self):
-        self.object_prior = np.asarray(self.object_prior, dtype=float)
+        try:
+            self.object_prior = np.asarray(self.object_prior, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("object_prior: entries must be numbers") from exc
 
 
 @dataclass
@@ -102,6 +105,11 @@ class ScenarioConfig:
         self.steps = check_count("steps", self.steps, 1, STEP_CAP)
         self.horizon = check_count("horizon", self.horizon, 1, planning.HORIZON_CAP)
         self.seed = check_count("seed", self.seed, 0)
+        for field in ("temperature", "visible_bonus"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigError(f"{field}: must be a number, got {value!r}")
+            setattr(self, field, float(value))
         if not 0 < self.temperature <= SCALE_BOUND:
             raise ConfigError(f"temperature: must be in (0, {SCALE_BOUND:g}], got {self.temperature}")
         if not abs(self.visible_bonus) <= SCALE_BOUND:
@@ -461,24 +469,21 @@ def echo_chamber_config(
 
 
 def self_doubt_config(
-    mode: CommMode, steps: int = 15, n_agents: int = 4, scripted: bool = False, seed: int = 42
+    mode: CommMode, steps: int = 15, scripted: bool = False, seed: int = 42
 ) -> ScenarioConfig:
-    """Agents on the shipped grid sharing a 0.95 prior on node 1; no object there.
+    """Four agents on the shipped grid sharing a 0.95 prior on node 1; no object there.
 
-    The agents start on nodes 0, 4, 10 and 14, the first ``n_agents`` of
-    them, so at most four. The scripted variant freezes every agent on
-    node 1 and forces each visibility outcome to "not visible", isolating
-    the channel's response to clean contradicting evidence.
+    The agents start on nodes 0, 4, 10 and 14. The scripted variant
+    freezes every agent on node 1 and forces each visibility outcome to
+    "not visible", isolating the channel's response to clean
+    contradicting evidence.
     """
-    starts = (0, 4, 10, 14)
-    if not scripted and n_agents > len(starts):
-        raise ConfigError(f"n_agents: at most {len(starts)} unscripted agents, got {n_agents}")
     graph = world.default_graph()
     prior = peaked_prior(graph.n_nodes, 1, 0.95)
     pinned = {"observe_location": False, "movement": FROZEN, "forced_visibility": world.NOT_VISIBLE}
     return ScenarioConfig(
         graph=graph,
-        agents=[AgentSpec(s, prior.copy()) for s in ([1] * n_agents if scripted else starts[:n_agents])],
+        agents=[AgentSpec(s, prior.copy()) for s in ((1, 1, 1, 1) if scripted else (0, 4, 10, 14))],
         object_location=None,
         comm_mode=mode,
         steps=steps,
@@ -551,6 +556,8 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     included, comes from ``template``; "random" is the no-planning baseline. At most
     SWEEP_TRIAL_CAP trials run; ``full_design`` builds the CLI's design.
     """
+    if isinstance(modes, str):
+        raise ConfigError(f"sweep_modes: need a sequence of mode names, got {modes!r}")
     if not modes:
         raise ConfigError("sweep_modes: need at least one mode")
     jobs = check_count("jobs", jobs, 1)

@@ -3,6 +3,7 @@
 One table covers each count and node index a Python caller passes: a float, a bool, a string, a
 value below the floor and a value above the cap each end in one ``ConfigError`` or
 ``CapExceeded`` line that names the input, and a numpy integer is taken as the same Python int.
+The real-valued fields, ``run_sweep``'s modes and an agent's prior entries get the same one line.
 """
 
 import numpy as np
@@ -104,6 +105,15 @@ INTEGER_INPUTS = [
     ),
     bad(lambda: config(observe_location="off"), ConfigError, "observe_location: must be True or False, got 'off'"),
     bad(lambda: config(observe_visibility=1), ConfigError, "observe_visibility: must be True or False, got 1"),
+    bad(lambda: config(temperature="4"), ConfigError, "temperature: must be a number, got '4'"),
+    bad(lambda: config(temperature=True), ConfigError, "temperature: must be a number, got True"),
+    bad(lambda: config(visible_bonus=None), ConfigError, "visible_bonus: must be a number, got None"),
+    bad(lambda: AgentSpec(0, ["a"] * 15), ConfigError, "object_prior: entries must be numbers"),
+    bad(
+        lambda: run_sweep(config(), "none", [[0]], [1], [7]),
+        ConfigError,
+        "sweep_modes: need a sequence of mode names, got 'none'",
+    ),
 ]
 
 
@@ -114,7 +124,7 @@ def test_bad_integer_input_is_one_line(call, kind, message):
     assert type(caught.value) is kind and str(caught.value) == message
 
 
-# field -> a valid value whose numpy twin must give the same config
+# field -> a valid value whose numpy twin (an int, for a real field) must give the same config
 NUMPY_TWINS = {
     "steps": (np.int64, 20),
     "horizon": (np.int32, 2),
@@ -123,6 +133,8 @@ NUMPY_TWINS = {
     "forced_visibility": (np.int8, 1),
     "observe_location": (np.bool_, False),
     "observe_visibility": (np.bool_, True),
+    "temperature": (np.float64, 4.0),
+    "visible_bonus": (int, 2.0),
 }
 
 

@@ -617,7 +617,8 @@ class TestSelfDoubtScenario:
         assert np.all(trace.object_beliefs[1, :, 1] < 0.1)
 
     def test_single_agent_odds_drop_factor_four(self):
-        config = self_doubt_config(CommMode.NONE, scripted=True, n_agents=1, steps=1)
+        config = self_doubt_config(CommMode.NONE, scripted=True)
+        config = replace(config, agents=config.agents[:1], steps=1)
         trace = run_trial(config).trace
         prior = peaked_prior(15, 1, 0.95)
         prior_odds = prior[1] / prior[0]
@@ -634,15 +635,6 @@ class TestSelfDoubtScenario:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-
-    def test_agent_count(self):
-        # the unscripted variant has four start nodes; the scripted one stacks up to the cap on node 1
-        assert self_doubt_config(CommMode.NONE, n_agents=4).n_agents == 4
-        assert self_doubt_config(CommMode.NONE, scripted=True, n_agents=6).n_agents == 6
-        with pytest.raises(ConfigError, match="^n_agents"):
-            self_doubt_config(CommMode.NONE, n_agents=5)
-        with pytest.raises(CapExceeded, match="^agents: 65 is over the cap of 64$"):
-            self_doubt_config(CommMode.NONE, scripted=True, n_agents=simulate.AGENT_CAP + 1)
 
 
 def sweep_template(graph, n_agents=1, steps=4, seed=5, **kwargs):

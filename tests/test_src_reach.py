@@ -141,19 +141,41 @@ def test_readme_line_count_is_current():
     assert int(stated.group(1).replace(",", "")) == counted
 
 
+def innermost_functions(path: Path, wanted) -> list:
+    """``file: function`` for each node of a src file that ``wanted`` accepts, naming the innermost
+    function around it (``<module>`` for none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {node: "<module>" for node in ast.walk(tree) if wanted(node)}
+    for fn in ast.walk(tree):  # outer functions first, so an inner one overwrites them
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update({node: fn.name for node in ast.walk(fn) if wanted(node)})
+    return [f"{path.name}: {fn}" for fn in found.values()]
+
+
+def called_name(node) -> str | None:
+    """The name a call or raise names, bare or as an attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def test_caps_are_checked_in_one_place():
     """``CapExceeded`` is raised only by ``errors.check_count``, and by the fixture reader for a
     node number too long for ``int()`` to read, which leaves no value to check."""
-    raised = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        # raise statement -> the innermost function around it
-        raiser = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.Raise)}
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                raiser.update({node: fn.name for node in ast.walk(fn) if isinstance(node, ast.Raise)})
-        for node, fn in raiser.items():
-            kind = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(kind, "id", getattr(kind, "attr", None)) == "CapExceeded":
-                raised.append(f"{path.name}: {fn}")
+
+    def raises_cap(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        return called_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "CapExceeded"
+
+    raised = [site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, raises_cap)]
     assert sorted(raised) == ["errors.py: check_count", "world.py: parse_graph_text"]
+
+
+def test_files_are_opened_in_one_place():
+    """``open`` is called only by ``cli._read_text`` (inputs), ``cli._write_rows`` (every CSV and
+    TSV) and ``cli._export`` (the digest read-back and manifest.json)."""
+
+    def opens(node):
+        return isinstance(node, ast.Call) and called_name(node.func) == "open"
+
+    opened = {site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, opens)}
+    assert sorted(opened) == ["cli.py: _export", "cli.py: _read_text", "cli.py: _write_rows"]
