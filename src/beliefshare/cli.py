@@ -7,14 +7,13 @@ reproduce each CSV byte for byte.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -223,34 +222,35 @@ def serialize_config(config: ScenarioConfig, sweep_modes=None) -> str:
 def _write_rows(out_dir: str, name: str, header, rows, delimiter: str = ",") -> str:
     """Write ``out_dir/name``: the ``header`` row unless None, then ``rows``; returns the path.
 
-    The one place the export format is decided: UTF-8, LF line ends, fields joined by ``delimiter``.
+    The one place the export format is decided: UTF-8, LF line ends, fields joined by ``delimiter``,
+    one write. Fields go unquoted: each is a number or a fixed label, which never needs quoting.
     """
+    rows = rows if header is None else chain([header], rows)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(delimiter.join(map(str, row)) + "\n" for row in rows))
     return path
 
 
 def write_trace_files(trace, out_dir: str) -> list:
     """Belief-trace CSV, per-agent heatmap matrices (a row per node), and the payload log."""
-    beliefs = trace.object_beliefs
-    cells = ([t, agent, world.OBJECT, node, _fmt(p)] for (t, agent, node), p in np.ndenumerate(beliefs))
-    sent = trace.comm_mode != CommMode.NONE
+    mode = trace.comm_mode.value
+    # each value formatted once, as [t][agent][node], however many files and receivers show it
+    beliefs = [[list(map(_fmt, row)) for row in step] for step in trace.object_beliefs.tolist()]
+    sent = trace.messages.tolist() if trace.comm_mode != CommMode.NONE else []
+    payloads = [[list(map(_fmt, row)) for row in step] for step in sent]
+    agent_rows = ((t, agent, row) for t, step in enumerate(beliefs) for agent, row in enumerate(step))
+    cells = ((t, agent, world.OBJECT, node, p) for t, agent, row in agent_rows for node, p in enumerate(row))
+    heatmaps = (zip(*steps) for steps in zip(*beliefs))  # an agent's steps, transposed to a row per node
     messages = (
-        [t, sender, receiver, trace.comm_mode.value, node, _fmt(logit)]
-        for t in range(trace.n_steps if sent else 0)
+        (t, sender, receiver, mode, node, logit)
+        for t, step in enumerate(payloads)
         for receiver, sender in permutations(range(trace.n_agents), 2)
-        for node, logit in enumerate(trace.messages[t, sender])
+        for node, logit in enumerate(step[sender])
     )
     return [
         _write_rows(out_dir, "trace.csv", ["t", "agent_id", "factor", "node", "probability"], cells),
-        *(
-            _write_rows(out_dir, f"heatmap_agent{agent}.tsv", None, (map(_fmt, row) for row in matrix), "\t")
-            for agent, matrix in enumerate(beliefs.transpose(1, 2, 0))
-        ),
+        *(_write_rows(out_dir, f"heatmap_agent{a}.tsv", None, rows, "\t") for a, rows in enumerate(heatmaps)),
         _write_rows(out_dir, "messages.csv", ["t", "sender", "receiver", "mode", "node", "logit"], messages),
     ]
 

@@ -1,8 +1,10 @@
 """Config files, CSV export, manifests, exit codes."""
 
 import ast
+import csv
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -238,6 +240,22 @@ class TestCmdScenario:
             mantissa = row[4].replace(".", "").replace("-", "").lstrip("0")
             mantissa = mantissa.split("e")[0]
             assert len(mantissa) <= 9
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_row_writer_matches_csv_dialect(self, tmp_path, delimiter):
+        # _write_rows joins fields unquoted; for every kind of field the exports hold, that is
+        # byte for byte what csv.writer writes
+        header = ["trial_id", "mode", "agent_starts", "object_location", "seed", "found", "steps_to_find"]
+        rows = [
+            [0, "likelihood_sharing", "3;7", 7, 2**70, "true", 4],
+            [1, "none", "0;14", 2, 5, "false", ""],
+            ["posterior_sharing", *map(cli._fmt, (1e-16, -0.0, float("inf"), float("nan"))), 3],
+        ]
+        expected = io.StringIO()
+        csv.writer(expected, delimiter=delimiter, lineterminator="\n").writerows([header, *rows])
+        path = cli._write_rows(str(tmp_path), "rows.csv", header, iter(rows), delimiter)
+        assert Path(path).read_bytes() == expected.getvalue().encode("utf-8")
+        assert "1e-16" in expected.getvalue() and '"' not in expected.getvalue()
 
 
 SWEEP_CFG = """

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefshare import planning, simulate, world
+from beliefshare import inference, planning, simulate, world
 from beliefshare.errors import CapExceeded, ConfigError
 from beliefshare.inference import softmax
 from beliefshare.model import make_agent_model
@@ -534,15 +534,43 @@ class TestFindCriterion:
             assert 1 <= result.steps_to_find <= 10
 
     def test_longer_trials_never_lose_finds(self):
-        # same seed means the longer run extends the shorter one's trajectory
-        for k in range(40):
-            seed = trial_seed(7, k)
-            starts = (k % 15, (k * 7) % 15)
-            short = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=6))
-            long = run_trial(sweep_style_config(starts, k % 15, CommMode.NONE, seed, steps=12))
-            if short.found:
-                assert long.found
-                assert long.steps_to_find == short.steps_to_find
+        # a trial is a prefix of the same trial run longer: in every mode, a sweep at 6 steps finds
+        # each trial where the 15-step sweep does, cut at step 6
+        rng = np.random.default_rng(5)
+        starts, objects = rng.integers(15, size=(60, 2)), rng.integers(15, size=60)
+        design = starts, objects, [trial_seed(3, k) for k in range(60)]
+        short = run_sweep(sweep_template(GRAPH, 2, steps=6, temperature=4.0), SWEEP_MODES, *design).found_at
+        long = run_sweep(sweep_template(GRAPH, 2, steps=15, temperature=4.0), SWEEP_MODES, *design).found_at
+        assert np.array_equal(short, np.where(long <= 6, long, 0))
+        assert (long > 6).any(axis=1).all()  # in every mode the cut drops finds
+        assert len(set(short.ravel().tolist())) >= 3  # unfound trials, and finds at two or more steps
+
+
+class TestProbabilityFloor:
+    """Posterior sharing runs beliefs down to exact zeros, which ``floored_log`` maps to LOG_FLOOR."""
+
+    def test_find_steps_independent_of_floor(self, monkeypatch):
+        # a floor as low as the smallest double, or at 1e-300, finds every trial at the same step;
+        # a floor of 1e-2 would change 36 of these 1,200 trials
+        template = sweep_template(GRAPH, 2, steps=20, temperature=4.0)
+        rng = np.random.default_rng(7)
+        starts, objects = rng.integers(15, size=(300, 2)), rng.integers(15, size=300)
+        seeds = [trial_seed(42, k) for k in range(300)]
+        design = starts, objects, seeds
+        found_at = run_sweep(template, SWEEP_MODES, *design).found_at
+        # not vacuous: an unfound posterior-sharing trial of the design holds an exact-zero belief
+        k = int(np.flatnonzero(found_at[SWEEP_MODES.index("posterior_sharing")] == 0)[0])
+        config = replace(
+            template,
+            agents=[AgentSpec(int(s), a.object_prior) for s, a in zip(starts[k], template.agents)],
+            object_location=int(objects[k]),
+            comm_mode=CommMode.POSTERIOR_SHARING,
+            seed=seeds[k],
+        )
+        assert (run_trial(config).trace.object_beliefs == 0).any()
+        for floor in (5e-324, 1e-300):
+            monkeypatch.setattr(inference, "LOG_FLOOR", float(np.log(floor)))
+            assert np.array_equal(run_sweep(template, SWEEP_MODES, *design).found_at, found_at), floor
 
 
 class TestEchoChamberScenario:
