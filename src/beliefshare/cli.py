@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CAP = 3
+
+# Rows _write_rows joins per write: a scenario file (2,700 rows at most) is one write, and a
+# sweep's trials.csv holds one chunk's text at a time.
+ROWS_PER_WRITE = 4096
 
 
 class _UsageError(ConfigError):
@@ -223,12 +227,15 @@ def _write_rows(out_dir: str, name: str, header, rows, delimiter: str = ",") -> 
     """Write ``out_dir/name``: the ``header`` row unless None, then ``rows``; returns the path.
 
     The one place the export format is decided: UTF-8, LF line ends, fields joined by ``delimiter``,
-    one write. Fields go unquoted: each is a number or a fixed label, which never needs quoting.
+    one write per ROWS_PER_WRITE rows. Fields go unquoted: each is a number or a fixed label, which
+    never needs quoting.
     """
-    rows = rows if header is None else chain([header], rows)
+    rows = iter(rows if header is None else chain([header], rows))
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(delimiter.join(map(str, row)) + "\n" for row in rows))
+        # every row ends in a newline, so only spent rows join to an empty text
+        while text := "".join(delimiter.join(map(str, row)) + "\n" for row in islice(rows, ROWS_PER_WRITE)):
+            fh.write(text)
     return path
 
 

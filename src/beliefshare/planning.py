@@ -13,7 +13,7 @@ from their softmax.
 import numpy as np
 
 from . import world
-from .inference import floored_log, softmax
+from .inference import floored_log, last_axis_max, softmax
 
 POLICY_CAP = 10_000
 # The longest horizon a graph of two or more nodes plans within POLICY_CAP: 2**13 <= 10,000 < 2**14.
@@ -155,7 +155,7 @@ class PlannerContext:
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log sum exp over the last axis, stably."""
-    top = x.max(axis=-1)
+    top = last_axis_max(x)
     return top + np.log(np.exp(x - top[..., None]).sum(axis=-1))
 
 

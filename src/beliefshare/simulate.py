@@ -9,18 +9,20 @@ CSV bytes.
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_sweep``'s workers hand it
-batches of TRIALS_PER_BATCH trials; ``run_trial`` is its batch of one and
-records the trace the scenario exports write. Each step draws every
-agent's move from the softmax of its first-move logits, which one
-``PlannerContext.first_moves`` call gives without a policy array: it backs
-up the later steps only after the first moves that shift the belief. A
-planned or frozen trial draws all its uniforms as one block when its
-batch starts; the random walk draws step by step. Beliefs are updated
-only where a planner or a trace reads them, so an untraced random walk
-steps positions and draws alone. The kernel computes what the one-agent
-reference in ``tests/reference.py`` (perceive, broadcast_round,
-expected_free_energy) computes one agent, one message and one policy at a
-time; the tests hold the two to agreement within 1e-12.
+batches of TRIALS_PER_BATCH design rows under each mode in turn; a batch
+builds its rows' generators once and rewinds them for each mode.
+``run_trial`` is its batch of one and records the trace the scenario
+exports write. Each step draws every agent's move from the softmax of its
+first-move logits, which one ``PlannerContext.first_moves`` call gives
+without a policy array: it backs up the later steps only after the first
+moves that shift the belief. A planned or frozen trial draws all its
+uniforms as one block when its batch starts; the random walk draws step
+by step. Beliefs are updated only where a planner or a trace reads them,
+so an untraced random walk steps positions and draws alone. The kernel
+computes what the one-agent reference in ``tests/reference.py``
+(perceive, broadcast_round, expected_free_energy) computes one agent, one
+message and one policy at a time; the tests hold the two to agreement
+within 1e-12.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import planning, world
 from .errors import ConfigError, check_count, is_integer
-from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, softmax
+from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, last_axis_max, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
@@ -275,11 +277,13 @@ def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
         new_loc = softmax(loc_ev + (lw @ objs[..., None])[..., 0])
         new_msg = (new_loc[..., None, :] @ lw)[..., 0, :]
         new_obj = softmax(prior_obj + new_msg)
-        delta = np.maximum(np.abs(new_loc - locs).max(axis=-1), np.abs(new_obj - objs).max(axis=-1))
-        keep = active[..., None]
-        locs = np.where(keep, new_loc, locs)
-        objs = np.where(keep, new_obj, objs)
-        vis_msgs = np.where(keep, new_msg, vis_msgs)
+        delta = last_axis_max(np.maximum(np.abs(new_loc - locs), np.abs(new_obj - objs)))
+        if not active.all():  # a settled row keeps its beliefs; until a row settles, nothing to select
+            keep = active[..., None]
+            new_loc = np.where(keep, new_loc, locs)
+            new_obj = np.where(keep, new_obj, objs)
+            new_msg = np.where(keep, new_msg, vis_msgs)
+        locs, objs, vis_msgs = new_loc, new_obj, new_msg
         active &= delta >= SWEEP_TOL
         if not active.any():
             break
@@ -291,7 +295,7 @@ def _share(mode: CommMode, prior_obj, own_objs, vis_msgs) -> tuple:
     if mode == CommMode.NONE:
         return own_objs, None
     payloads = floored_log(own_objs) if mode == CommMode.POSTERIOR_SHARING else vis_msgs
-    payloads = payloads - payloads.max(axis=-1, keepdims=True)
+    payloads = payloads - last_axis_max(payloads)[..., None]
     total = prior_obj + vis_msgs
     agents = np.arange(payloads.shape[1])
     # every receiver adds the other agents' payloads in ascending sender order
@@ -307,11 +311,13 @@ def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
     return planning.sample_policy_index(logits, u.ravel()).reshape(u.shape)
 
 
-def _step_trials(config, planner, starts, objects, seeds, trace=None):
+def _step_trials(config, planner, starts, objects, rngs, trace=None):
     """The trial step, for B trials of one config at once.
 
     ``starts`` is (B, agents) start nodes, ``objects`` B object nodes or None
-    (absent), ``seeds`` B generator seeds; the rest comes from ``config``.
+    (absent), ``rngs`` B generators, each at the start of its trial's stream
+    (a sweep builds them once per row and batch and rewinds them for each
+    mode); the rest comes from ``config``.
     Every stage runs on (B, agents, nodes) belief arrays, and a trial that
     finds the object leaves the batch. Each trial draws from its own
     generator as alone: per step a location and a visibility draw per
@@ -328,7 +334,6 @@ def _step_trials(config, planner, starts, objects, seeds, trace=None):
     n = config.graph.n_nodes
     positions = np.array(starts)
     n_trials, n_agents = positions.shape
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     live = np.arange(n_trials)  # batch index of each running trial
     obj_nodes = None if objects is None else np.asarray(objects)[:, None]
     locs = np.zeros((n_trials, n_agents, n))
@@ -407,24 +412,36 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
     trace = BeliefTrace.empty(config.steps, 1, config.n_agents, config.graph.n_nodes, config.comm_mode)
     objects = None if config.object_location is None else [config.object_location]
     starts = [[s.start_node for s in config.agents]]
-    found_at = _step_trials(config, planner_context(config), starts, objects, [config.seed], trace)
+    rngs = [np.random.default_rng(config.seed)]
+    found_at = _step_trials(config, planner_context(config), starts, objects, rngs, trace)
     steps_to_find = int(found_at[0]) or None
     trace = trace.trial(0, steps_to_find or config.steps)
     return TrialResult(steps_to_find is not None, steps_to_find, trace)
 
 
-def _run_trials(template: ScenarioConfig, mode: str, starts, objects, seeds) -> np.ndarray:
-    """``run_sweep``'s worker: the trials of one mode, in batches of TRIALS_PER_BATCH; their find steps."""
-    if mode == RANDOM:
-        config = replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM)
-    else:
-        config = replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
-    planner = planner_context(config)
-    found_at = [
-        _step_trials(config, planner, *(a[i : i + TRIALS_PER_BATCH] for a in (starts, objects, seeds)))
-        for i in range(0, len(objects), TRIALS_PER_BATCH)
-    ]
-    return np.concatenate([np.zeros(0, dtype=int), *found_at])
+def _run_trials(template: ScenarioConfig, modes, starts, objects, seeds) -> np.ndarray:
+    """``run_sweep``'s worker: design rows under every mode; their find steps, (modes, rows).
+
+    Rows run in batches of TRIALS_PER_BATCH. A batch builds each row's generator once and rewinds
+    it to its seeded state before each mode, so every mode reads the row's stream from its start.
+    """
+    runs = []
+    for mode in modes:
+        if mode == RANDOM:
+            config = replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM)
+        else:
+            config = replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
+        runs.append((config, planner_context(config)))
+    found_at = np.zeros((len(modes), len(objects)), dtype=int)
+    for i in range(0, len(objects), TRIALS_PER_BATCH):
+        rows = slice(i, i + TRIALS_PER_BATCH)
+        rngs = [np.random.default_rng(seed) for seed in seeds[rows]]
+        states = [rng.bit_generator.state for rng in rngs]
+        for m, (config, planner) in enumerate(runs):
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+            found_at[m, rows] = _step_trials(config, planner, starts[rows], objects[rows], rngs)
+    return found_at
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +544,9 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
 
 
-def worker_count(requested: int, n_tasks: int, cpus: int | None) -> int:
-    """Sweep worker processes: the request, capped by the CPU and task counts, at least 1."""
-    return max(1, min(requested, cpus or 1, n_tasks))
+def worker_count(requested: int, n_rows: int, cpus: int | None) -> int:
+    """Sweep worker processes: the request, capped by the CPU and design row counts, at least 1."""
+    return max(1, min(requested, cpus or 1, n_rows))
 
 
 def full_design(template: ScenarioConfig, repeats: int, n_modes: int) -> tuple:
@@ -585,12 +602,10 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     if not all(is_integer(s) and s >= 0 for s in seeds):
         raise ConfigError("trials: seeds must be non-negative integers")
 
-    # Trial ids run mode by mode, then by design row; each worker takes every
-    # jobs-th row of each mode.
+    # Each worker takes every jobs-th design row and runs it under every mode.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = worker_count(jobs, len(objects) * len(modes), cpus)
-    stripes = [(starts[k::jobs], objects[k::jobs], seeds[k::jobs]) for k in range(jobs)]
-    calls = [(template, mode, *stripe) for mode in modes for stripe in stripes]
+    jobs = worker_count(jobs, len(objects), cpus)
+    calls = [(template, modes, starts[k::jobs], objects[k::jobs], seeds[k::jobs]) for k in range(jobs)]
     if jobs > 1:
         # the pool's modules load only here: a serial sweep never imports them
         import concurrent.futures
@@ -600,6 +615,6 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
     else:
         parts = [_run_trials(*call) for call in calls]
     found_at = np.empty((len(modes), len(objects)), dtype=int)
-    for i, part in enumerate(parts):
-        found_at[i // jobs, i % jobs :: jobs] = part
+    for k, part in enumerate(parts):
+        found_at[:, k::jobs] = part
     return SweepResult(tuple(modes), starts, objects, seeds, found_at)

@@ -257,6 +257,39 @@ class TestCmdScenario:
         assert Path(path).read_bytes() == expected.getvalue().encode("utf-8")
         assert "1e-16" in expected.getvalue() and '"' not in expected.getvalue()
 
+    @pytest.mark.parametrize("per_write", [1, 2, 3, 1000])
+    def test_row_writer_chunks_write_the_same_bytes(self, tmp_path, monkeypatch, per_write):
+        # _write_rows joins and writes ROWS_PER_WRITE rows at a time; the chunk size never shows
+        rows = [[t, "none", cli._fmt(t / 7)] for t in range(7)]
+        whole = cli._write_rows(str(tmp_path), "whole.csv", ["t", "mode", "p"], iter(rows))
+        writes = []
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", per_write)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        chunked = cli._write_rows(str(tmp_path), "chunked.csv", ["t", "mode", "p"], iter(rows))
+        assert Path(chunked).read_bytes() == Path(whole).read_bytes()
+        assert len(writes) == -(-8 // per_write)  # the header and 7 rows, per_write rows a write
+        cli._write_rows(str(tmp_path), "empty.tsv", None, iter([]), "\t")
+        assert (tmp_path / "empty.tsv").read_bytes() == b""
+
+    def test_scenario_files_are_one_write(self, tmp_path):
+        # every scenario file fits one chunk; self-doubt's messages.csv is the longest
+        longest = 0
+        for name in cli.SCENARIO_BUILDERS:
+            for mode in CommMode:
+                out = tmp_path / f"{name}-{mode.value}"
+                cmd_scenario(name, mode.value, str(out))
+                for path in [*out.glob("*.csv"), *out.glob("*.tsv")]:
+                    longest = max(longest, path.read_bytes().count(b"\n"))
+        assert longest == 15 * 4 * 3 * 15 + 1  # steps x senders x receivers x nodes, and the header
+        assert longest <= cli.ROWS_PER_WRITE
+
 
 SWEEP_CFG = """
 comm_mode = none

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefshare.inference import LOG_FLOOR, floored_log, softmax
+from beliefshare.inference import LOG_FLOOR, floored_log, last_axis_max, softmax
 from beliefshare.world import WorldGraph
 from reference import (
     CategoricalBelief,
@@ -86,6 +86,28 @@ class TestSoftmax:
     def test_shift_invariance(self, logits, c):
         z = np.asarray(logits)
         assert np.allclose(softmax(z + c), softmax(z), atol=1e-12)
+
+
+class TestLastAxisMax:
+    """The kernel's node-axis maxima are ``x.max(axis=-1)`` to the bit, on one row and on many."""
+
+    @pytest.mark.parametrize("shape", [(1, 15), (4, 15), (546, 15), (256, 2, 15), (3, 40, 7)])
+    def test_equals_numpy_max(self, shape):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=3.0, size=shape)
+        rows = x.reshape(-1, shape[-1])  # a view: writing rows writes x
+        rows[::2, 1] = rows[::2, 3]  # ties
+        rows[1::3] = LOG_FLOOR + rng.normal(scale=1e-6, size=rows[1::3].shape)  # logits near the floor
+        rows[1::3, 0] = LOG_FLOOR
+        rows[::4, 2:] = 0.0  # exact zeros, with a negative zero among them
+        rows[::4, 3] = -0.0
+        rows[-1] = -0.0
+        expected = x.max(axis=-1)
+        got = last_axis_max(x)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == expected.tobytes()
+        # a strided view of the same values gives the same maxima
+        assert last_axis_max(x[..., ::-1]).tobytes() == expected.tobytes()
 
 
 class TestTypes:

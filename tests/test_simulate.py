@@ -730,6 +730,22 @@ class TestSweep:
         assert np.array_equal(serial.found_at, parallel.found_at)
         assert serial.found_at.any() and not serial.found_at.all()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_mode_independent_of_the_other_modes(self, jobs, order):
+        # a worker rewinds each row's generator before each mode: every mode reads its row's
+        # stream from the start, as when it is swept alone
+        template = sweep_template(GRAPH, n_agents=2, steps=6, temperature=4.0)
+        rng = np.random.default_rng(17)
+        starts, objects = rng.integers(15, size=(40, 2)), rng.integers(15, size=40)
+        seeds = [trial_seed(8, k) for k in range(40)]
+        modes = SWEEP_MODES[::order]
+        together = run_sweep(template, modes, starts, objects, seeds, jobs=jobs)
+        for m, mode in enumerate(modes):
+            alone = run_sweep(template, (mode,), starts, objects, seeds, jobs=jobs)
+            assert np.array_equal(together.found_at[m], alone.found_at[0]), mode
+            assert len(set(alone.found_at[0].tolist()) - {0}) >= 3, mode  # finds at three or more steps
+
     def test_row_independent_of_design(self):
         # every 7th row of a full design, swept alone, ends as it does among all the rows
         template = sweep_template(self.SMALL, n_agents=2, seed=13)
@@ -965,6 +981,17 @@ class TestWorkerCount:
         pooled = full_sweep(template, ("none",), repeats=2, jobs=2)
         assert built == [2]
         assert np.array_equal(pooled.found_at, full_sweep(template, ("none",), repeats=2).found_at)
+
+    def test_one_row_builds_no_pool(self, monkeypatch):
+        # workers are capped at the design rows: one row under every mode runs serially
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        template = sweep_template(GRAPH, n_agents=2, steps=4)
+        result = run_sweep(template, SWEEP_MODES, [[0, 4]], [4], [trial_seed(3, 0)], jobs=2)
+        assert result.found_at.shape == (len(SWEEP_MODES), 1)
 
     def test_clamped_to_cpus_and_tasks(self):
         assert worker_count(8, 100, 2) == 2

@@ -179,3 +179,21 @@ def test_files_are_opened_in_one_place():
 
     opened = {site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, opens)}
     assert sorted(opened) == ["cli.py: _export", "cli.py: _read_text", "cli.py: _write_rows"]
+
+
+def test_node_axis_maxima_in_one_place():
+    """No src function takes a max over the last axis, which numpy reduces one row at a time: the
+    node-axis maxima go through ``inference.last_axis_max``, which takes them in one pass."""
+
+    def last_axis(value) -> bool:
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+            return isinstance(value.operand, ast.Constant) and value.operand.value == 1
+        return isinstance(value, ast.Constant) and value.value == -1
+
+    def takes_max(node):
+        if not (isinstance(node, ast.Call) and called_name(node.func) in {"max", "amax"}):
+            return False
+        return any(kw.arg == "axis" and last_axis(kw.value) for kw in node.keywords)
+
+    taken = {site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, takes_max)}
+    assert sorted(taken) == []
