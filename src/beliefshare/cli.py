@@ -18,7 +18,7 @@ from itertools import chain, islice, permutations
 import numpy as np
 
 from . import __version__, simulate, world
-from .errors import BeliefShareError, CapExceeded, ConfigError, FileAccessError
+from .errors import BeliefShareError, CapExceeded, ConfigError, FileAccessError, check_index, check_prior
 from .simulate import AgentSpec, CommMode, ScenarioConfig, SweepResult
 
 EXIT_OK = 0
@@ -111,9 +111,7 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
             weight = float(weight) if weight else None
         except ValueError as exc:
             raise ConfigError(f"{field}: cannot parse prior spec {spec!r}") from exc
-        for node in nodes:
-            if not 0 <= node < n_nodes:
-                raise ConfigError(f"{field}: node {node} out of range for {n_nodes} nodes")
+        nodes = [check_index(f"{field} prior node", node, n_nodes) for node in nodes]
         if kind == "bump":
             if not nodes:
                 raise ConfigError(f"{field}: 'bump' names no node")
@@ -126,20 +124,15 @@ def _parse_prior(spec: str, n_nodes: int, field: str) -> np.ndarray:
             raise ConfigError(f"{field}: 'peak' takes one node of a graph of two or more")
         return simulate.peaked_prior(n_nodes, nodes[0], 0.95 if weight is None else weight)
     try:
-        vec = np.array([float(tok) for tok in spec.replace(",", " ").split()])
+        return np.array([float(tok) for tok in spec.replace(",", " ").split()])
     except ValueError as exc:
         raise ConfigError(f"{field}: cannot parse prior spec {spec!r}") from exc
-    if vec.size != n_nodes:
-        raise ConfigError(f"{field}: prior has {vec.size} entries, world has {n_nodes}")
-    if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"{field}: prior must be a normalized distribution")
-    return vec
 
 
 def _read_text(path: str, what: str) -> str:
-    """A UTF-8 input file's text; ``what`` names the file in the error."""
+    """A UTF-8 input file's text, without a leading byte-order mark; ``what`` names the file in the error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(f"cannot read {what}: {exc}") from exc
@@ -180,10 +173,12 @@ def parse_config_text(text: str, base_dir: str = ".") -> tuple:
         raise ConfigError("comm_mode: missing required key")
     if not agent_lines:
         raise ConfigError("agent: need at least one 'agent = start | prior' line")
-    agents = [
-        AgentSpec(start, _parse_prior(prior, graph.n_nodes, f"agent (line {lineno})"))
-        for lineno, start, prior in agent_lines
-    ]
+    agents = []
+    for lineno, start, prior in agent_lines:
+        field = f"agent (line {lineno})"
+        start = check_index(f"{field} start node", start, graph.n_nodes)
+        prior = check_prior(f"{field} prior", _parse_prior(prior, graph.n_nodes, field), graph.n_nodes)
+        agents.append(AgentSpec(start, prior))
     sweep_modes = settings.pop("sweep_modes", simulate.SWEEP_MODES)
     fields = {_FIELDS.get(key, key): value for key, value in settings.items()}
     return ScenarioConfig(graph=graph, agents=agents, **fields), sweep_modes

@@ -9,8 +9,9 @@ CSV bytes.
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_sweep``'s workers hand it
-batches of TRIALS_PER_BATCH design rows under each mode in turn; a batch
-builds its rows' generators once and rewinds them for each mode.
+batches of design rows under each mode in turn, TRIALS_PER_BATCH rows or
+fewer where perception would gather more than GATHER_BYTES; a batch builds
+its rows' generators once and rewinds them for each mode.
 ``run_trial`` is its batch of one and records the trace the scenario
 exports write. Each step draws every agent's move from the softmax of its
 first-move logits, which one ``PlannerContext.first_moves`` call gives
@@ -34,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import planning, world
-from .errors import ConfigError, check_count, is_integer
+from .errors import ConfigError, check_count, check_index, check_prior
 from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, last_axis_max, softmax
 from .model import VISIBLE_BONUS, make_agent_model
 
@@ -43,6 +44,8 @@ SWEEP_TRIAL_CAP = 200_000
 STEP_CAP = 1_000
 AGENT_CAP = 64
 TRIALS_PER_BATCH = 256
+# A batch's perception gather, (trials, agents, nodes, nodes) doubles: 256 trials up to 128 nodes at 2 agents.
+GATHER_BYTES = 1 << 26
 # A batch's block of uniforms: the shipped sweep's 256 trials x 20 steps x 6 draws (240 KiB) fit in one.
 DRAW_BYTES = 1 << 20
 # Largest temperature and |visible_bonus|. With the horizon capped, a policy's score is
@@ -73,12 +76,6 @@ class AgentSpec:
 
     start_node: int
     object_prior: np.ndarray
-
-    def __post_init__(self):
-        try:
-            self.object_prior = np.asarray(self.object_prior, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("object_prior: entries must be numbers") from exc
 
 
 @dataclass
@@ -130,24 +127,14 @@ class ScenarioConfig:
         if self.action_policy == PLANNED and self.movement == FREE:
             check_count("policies", n**self.horizon, 1, planning.POLICY_CAP)
         for i, spec in enumerate(self.agents):
-            if not (is_integer(spec.start_node) and 0 <= spec.start_node < n):
-                raise ConfigError(f"agents[{i}].start_node: {spec.start_node!r} out of range")
-            if spec.object_prior.shape != (n,):
-                raise ConfigError(f"agents[{i}].object_prior: length must be {n}")
-            if not np.all(np.isfinite(spec.object_prior)):
-                raise ConfigError(f"agents[{i}].object_prior: entries must be finite")
-            if np.any(spec.object_prior < 0) or abs(spec.object_prior.sum() - 1.0) > 1e-9:
-                raise ConfigError(f"agents[{i}].object_prior: not a normalized distribution")
+            spec.start_node = check_index(f"agents[{i}].start_node", spec.start_node, n)
+            spec.object_prior = check_prior(f"agents[{i}].object_prior", spec.object_prior, n)
         if self.object_location is not None:
-            if not (is_integer(self.object_location) and 0 <= self.object_location < n):
-                raise ConfigError(f"object_location: {self.object_location!r} out of range")
-            self.object_location = int(self.object_location)
+            self.object_location = check_index("object_location", self.object_location, n)
         if self.forced_visibility is not None:
             if not self.observe_visibility:
                 raise ConfigError("forced_visibility: requires observe_visibility on")
-            if not is_integer(self.forced_visibility) or self.forced_visibility not in (0, 1):
-                raise ConfigError(f"forced_visibility: must be 0 or 1, got {self.forced_visibility!r}")
-            self.forced_visibility = int(self.forced_visibility)
+            self.forced_visibility = check_index("forced_visibility", self.forced_visibility, 2)
 
     @property
     def n_agents(self) -> int:
@@ -422,22 +409,24 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
 def _run_trials(template: ScenarioConfig, modes, starts, objects, seeds) -> np.ndarray:
     """``run_sweep``'s worker: design rows under every mode; their find steps, (modes, rows).
 
-    Rows run in batches of TRIALS_PER_BATCH. A batch builds each row's generator once and rewinds
-    it to its seeded state before each mode, so every mode reads the row's stream from its start.
+    Rows run in batches of TRIALS_PER_BATCH, fewer where a batch's perception gather would pass
+    GATHER_BYTES. A batch builds each row's generator once and rewinds it to its seeded state
+    before each mode, so every mode reads the row's stream from its start. Every mode shares one
+    planner: the modes set only the channel and the action policy, which it does not read.
     """
-    runs = []
-    for mode in modes:
-        if mode == RANDOM:
-            config = replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM)
-        else:
-            config = replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
-        runs.append((config, planner_context(config)))
+    configs = [
+        replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM) if mode == RANDOM
+        else replace(template, comm_mode=CommMode(mode), action_policy=PLANNED)
+        for mode in modes
+    ]
+    planner = planner_context(template)
+    batch = max(1, min(TRIALS_PER_BATCH, GATHER_BYTES // (8 * template.n_agents * template.graph.n_nodes**2)))
     found_at = np.zeros((len(modes), len(objects)), dtype=int)
-    for i in range(0, len(objects), TRIALS_PER_BATCH):
-        rows = slice(i, i + TRIALS_PER_BATCH)
+    for i in range(0, len(objects), batch):
+        rows = slice(i, i + batch)
         rngs = [np.random.default_rng(seed) for seed in seeds[rows]]
         states = [rng.bit_generator.state for rng in rngs]
-        for m, (config, planner) in enumerate(runs):
+        for m, config in enumerate(configs):
             for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
             found_at[m, rows] = _step_trials(config, planner, starts[rows], objects[rows], rngs)
@@ -462,17 +451,15 @@ def peaked_prior(n_nodes: int, node: int, mass: float = 0.95) -> np.ndarray:
     return p
 
 
-def echo_chamber_config(
-    mode: CommMode, steps: int = 10, bump_ratio: float = 2.0, seed: int = 42
-) -> ScenarioConfig:
+def echo_chamber_config(mode: CommMode, steps: int = 10, seed: int = 42) -> ScenarioConfig:
     """Two frozen agents on nodes 5 and 9 of the shipped grid, visibility masked.
 
-    Both hold the same prior, lifted to ``bump_ratio`` times base mass at
-    nodes 11 and 13. With nothing to observe, any belief motion can only
-    come from the communication channel.
+    Both hold the same prior, lifted to twice base mass at nodes 11 and 13.
+    With nothing to observe, any belief motion can only come from the
+    communication channel.
     """
     graph = world.default_graph()
-    prior = bumped_prior(graph.n_nodes, (11, 13), bump_ratio)
+    prior = bumped_prior(graph.n_nodes, (11, 13))
     return ScenarioConfig(
         graph=graph,
         agents=[AgentSpec(s, prior.copy()) for s in (5, 9)],
@@ -596,11 +583,12 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
         raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
     if starts.size and not all(np.issubdtype(a.dtype, np.integer) for a in (starts, objects)):
         raise ConfigError("trials: start and object nodes must be integers")
-    if starts.size and (min(starts.min(), objects.min()) < 0 or max(starts.max(), objects.max()) >= n):
-        raise ConfigError(f"trials: start and object nodes must lie in 0..{n - 1}")
+    if starts.size:
+        check_index("start or object node", min(starts.min(), objects.min()), n)
+        check_index("start or object node", max(starts.max(), objects.max()), n)
     check_count("trials", len(objects) * len(modes), 0, SWEEP_TRIAL_CAP)
-    if not all(is_integer(s) and s >= 0 for s in seeds):
-        raise ConfigError("trials: seeds must be non-negative integers")
+    for seed in seeds:
+        check_count("trial seed", seed, 0)
 
     # Each worker takes every jobs-th design row and runs it under every mode.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

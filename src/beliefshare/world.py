@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ConfigError, check_count, is_integer
+from .errors import CapExceeded, ConfigError, check_count, check_index
 
 OBJECT = "object"
 
@@ -62,8 +62,7 @@ class WorldGraph:
         n_nodes = check_count("nodes", n_nodes, 1, NODE_CAP)
         adj = np.zeros((n_nodes, n_nodes), dtype=bool)
         for a, b in edges:
-            if not all(is_integer(node) and 0 <= node < n_nodes for node in (a, b)):
-                raise ConfigError(f"neighbour {b} of node {a} out of range")
+            a, b = [check_index(f"edge ({a}, {b})", node, n_nodes) for node in (a, b)]
             adj[a, b] = adj[b, a] = True
         return cls(n_nodes, adj)
 

@@ -7,6 +7,7 @@ dominates the runtime; everything else finishes in seconds.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from beliefshare.cli import cmd_scenario, cmd_sweep
 from beliefshare.inference import floored_log
 from beliefshare.model import make_agent_model
 from beliefshare.simulate import (
+    AgentSpec,
     CommMode,
     echo_chamber_config,
     peaked_prior,
@@ -199,9 +201,11 @@ def test_criterion_4_echo_chamber():
         ok &= bool(mass[-1] > 0.9)
     detail.append(f"default bump final mass {trace.object_beliefs[-1, 0, [11, 13]].sum():.6f}")
 
-    gentle = run_trial(echo_chamber_config(CommMode.POSTERIOR_SHARING, bump_ratio=1.05)).trace
+    config = echo_chamber_config(CommMode.POSTERIOR_SHARING)
+    prior = bumped_prior(15, (11, 13), 1.05)
+    gentle = run_trial(replace(config, agents=[AgentSpec(s.start_node, prior) for s in config.agents])).trace
     mass = gentle.object_beliefs[:, 0, [11, 13]].sum(axis=1)
-    seq = np.concatenate([[bumped_prior(15, (11, 13), 1.05)[[11, 13]].sum()], mass])
+    seq = np.concatenate([[prior[[11, 13]].sum()], mass])
     strict_all = all(b > a for a, b in zip(seq, seq[1:])) and mass[-1] > 0.9
     ok &= strict_all
     detail.append(f"gentle bump strictly increasing all 10 steps: {strict_all}")

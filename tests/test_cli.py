@@ -37,6 +37,12 @@ from beliefshare.errors import BeliefShareError, ConfigError
 from beliefshare.simulate import AgentSpec, CommMode, ScenarioConfig
 from reference import format_graph_text
 
+
+def renamed(first, expected, old_expected):
+    """A row whose expected message changed, under the id its old expectation gave it."""
+    return pytest.param(first, expected, id=f"{first}-{old_expected}")
+
+
 MINIMAL = """
 comm_mode = likelihood_sharing
 agent = 0 | uniform
@@ -428,7 +434,7 @@ class TestSweepInputs:
     @pytest.mark.parametrize(
         "extra, key",
         [
-            ("agent = 1 | nan,0.5,0.5\n", "agents[1].object_prior"),
+            renamed("agent = 1 | nan,0.5,0.5\n", "agent (line 8) prior", "agents[1].object_prior"),
             ("temperature = nan\n", "temperature"),
             ("temperature = inf\n", "temperature"),
             ("visible_bonus = nan\n", "visible_bonus"),
@@ -449,16 +455,20 @@ class TestSweepInputs:
         "extra, words",
         [
             ("temprature = 9\n", "unknown config key 'temprature'"),
-            ("agent = 0 | peak:99\n", "agent (line 8): node 99 out of range"),
-            ("agent = 0 | bump:1,99\n", "agent (line 8): node 99 out of range"),
-            ("agent = 0 | peak:-1\n", "agent (line 8): node -1 out of range"),
+            renamed("agent = 0 | peak:99\n", "agent (line 8) prior node: must be < 3, got 99",
+                    "agent (line 8): node 99 out of range"),
+            renamed("agent = 0 | bump:1,99\n", "agent (line 8) prior node: must be < 3, got 99",
+                    "agent (line 8): node 99 out of range"),
+            renamed("agent = 0 | peak:-1\n", "agent (line 8) prior node: must be >= 0, got -1",
+                    "agent (line 8): node -1 out of range"),
             ("graph = one.txt\nagent = 0 | peak:0\n", "agent (line 9): 'peak' takes one node"),
             ("sweep_modes = none,telepathy\n", "sweep_modes (line 8): expected"),
             ("sweep_modes = none,none\n", "sweep_modes: each mode may be listed once"),
             ("sweep_modes =\n", "sweep_modes: need at least one mode"),
             ("agent = 0 | bump:1,x\n", "agent (line 8): cannot parse prior spec"),
             ("agent = 0 | 0.5,x,0.5\n", "agent (line 8): cannot parse prior spec"),
-            ("agent = 0 | 0.5,0.5\n", "agent (line 8): prior has 2 entries, world has 3"),
+            renamed("agent = 0 | 0.5,0.5\n", "agent (line 8) prior: must hold 3 entries, got shape (2,)",
+                    "agent (line 8): prior has 2 entries, world has 3"),
             ("agent = 0 | bump:1:inf\n", "agent (line 8): a bump weight must be >= 0"),
             ("agent = 0 | bump:1:-2\n", "agent (line 8): a bump weight must be >= 0"),
             ("agent = 0 | bump:0,1,2:0\n", "agent (line 8): a bump weight must be >= 0"),
@@ -467,7 +477,8 @@ class TestSweepInputs:
             ("agent = 0 | bump:\n", "agent (line 8): 'bump' names no node"),
             ("agent = x | uniform\n", "agent (line 8): expected"),
             ("agent = 0 uniform\n", "agent (line 8): expected"),
-            ("agent = 7 | uniform\n", "agents[1].start_node: 7 out of range"),
+            renamed("agent = 7 | uniform\n", "agent (line 8) start node: must be < 3, got 7",
+                    "agents[1].start_node: 7 out of range"),
             ("steps 4\n", "line 8: expected 'key = value'"),
             ("temperature = abc\n", "temperature (line 8): expected a number"),
             ("seed = -1\n", "seed: must be >= 0"),
@@ -569,6 +580,26 @@ class TestSweepInputs:
         assert len(err) == 1 and err[0].startswith(f"cannot read {what}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("marked", ["config", "graph fixture"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, marked):
+        # an editor's UTF-8 byte-order mark once made the config's first key unknown, and the
+        # fixture's first line malformed
+        (tmp_path / "tiny.txt").write_text("0: 1\n1: 0,2\n2: 1\n", encoding="utf-8")
+        (tmp_path / "marked.txt").write_text("\ufeff0: 1\n1: 0,2\n2: 1\n", encoding="utf-8")
+        text = SWEEP_CFG.lstrip("\n")  # the mark comes before the first key
+        trials = []
+        for name, cfg_text in (
+            ("plain", text),
+            ("marked", "\ufeff" + text if marked == "config" else text.replace("tiny.txt", "marked.txt")),
+        ):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(cfg_text, encoding="utf-8")
+            out = tmp_path / name
+            code, err = run_main(["sweep", "--config", str(cfg), "--repeats", "1", "--out", str(out)], capsys)
+            assert code == EXIT_OK and err == []
+            trials.append((out / "trials.csv").read_bytes())
+        assert trials[0] == trials[1]
+
     def test_policy_cap_exit(self, tmp_path, capsys):
         # 15**4 policies on the shipped grid; one-step trials never plan
         cfg = tmp_path / "deep.cfg"
@@ -630,7 +661,11 @@ class TestSweepInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "fixture, words", [("", "graph fixture is empty"), ("0: 5\n", "neighbour 5 of node 0 out of range")]
+        "fixture, words",
+        [
+            ("", "graph fixture is empty"),
+            renamed("0: 5\n", "edge (0, 5): must be < 1, got 5", "neighbour 5 of node 0 out of range"),
+        ],
     )
     def test_invalid_graph_fixture(self, tmp_path, capsys, fixture, words):
         (tmp_path / "bad.txt").write_text(fixture)

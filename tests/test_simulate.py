@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -449,7 +450,7 @@ class TestConfigValidation:
             sweep_style_config((0,), None, CommMode.NONE, 1, horizon=0)
         with pytest.raises(ConfigError, match="^action_policy"):
             sweep_style_config((0,), None, CommMode.NONE, 1, action_policy="greedy")
-        with pytest.raises(ConfigError, match="agents\\[0\\].object_prior: length must be 15"):
+        with pytest.raises(ConfigError, match=r"^agents\[0\]\.object_prior: must hold 15 entries, got shape \(3,\)$"):
             ScenarioConfig(
                 graph=GRAPH,
                 agents=[AgentSpec(0, np.ones(3) / 3)],
@@ -460,7 +461,7 @@ class TestConfigValidation:
             sweep_style_config(
                 (0,), None, CommMode.NONE, 1, observe_visibility=False, forced_visibility=world.VISIBLE
             )
-        with pytest.raises(ConfigError, match="^forced_visibility: must be 0 or 1"):
+        with pytest.raises(ConfigError, match="^forced_visibility: must be < 2, got 2$"):
             sweep_style_config((0,), None, CommMode.NONE, 1, forced_visibility=2)
 
     def test_agent_cap(self):
@@ -593,10 +594,12 @@ class TestEchoChamberScenario:
 
     def test_posterior_sharing_strict_increase_at_gentle_bump(self):
         # a 5% bump keeps every one of the 10 steps strictly increasing
-        config = echo_chamber_config(CommMode.POSTERIOR_SHARING, bump_ratio=1.05)
+        config = echo_chamber_config(CommMode.POSTERIOR_SHARING)
+        gentle = bumped_prior(15, (11, 13), 1.05)
+        config = replace(config, agents=[AgentSpec(s.start_node, gentle) for s in config.agents])
         trace = run_trial(config).trace
         mass = trace.object_beliefs[:, 0, [11, 13]].sum(axis=1)
-        seq = np.concatenate([[bumped_prior(15, (11, 13), 1.05)[[11, 13]].sum()], mass])
+        seq = np.concatenate([[gentle[[11, 13]].sum()], mass])
         assert all(b > a for a, b in zip(seq, seq[1:]))
         assert mass[-1] > 0.9
 
@@ -894,6 +897,31 @@ class TestTrialBatches:
             finds.update(found[-1].tolist())
         assert len(finds) >= 3  # unfound trials, and finds at two or more steps
 
+    def test_gather_budget_splits_batches(self, monkeypatch):
+        # perception gathers (trials, agents, nodes, nodes) doubles per batch: a budget of five
+        # two-agent trials on the grid splits 40 rows into eight batches, and no find step moves
+        template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
+        rng = np.random.default_rng(12)
+        starts = rng.integers(15, size=(40, 2))
+        objects = rng.integers(15, size=40)
+        seeds = [trial_seed(5, k) for k in range(40)]
+        step_trials = simulate._step_trials
+        sizes = []
+
+        def counted(config, planner, starts, *rest):
+            sizes.append(len(starts))
+            return step_trials(config, planner, starts, *rest)
+
+        monkeypatch.setattr(simulate, "_step_trials", counted)
+        whole = run_sweep(template, SWEEP_MODES, starts, objects, seeds).found_at
+        assert sizes == [40] * len(SWEEP_MODES)
+        sizes.clear()
+        monkeypatch.setattr(simulate, "GATHER_BYTES", 5 * 8 * 2 * 15**2 + 7)
+        split = run_sweep(template, SWEEP_MODES, starts, objects, seeds).found_at
+        assert sizes == [5] * 8 * len(SWEEP_MODES)
+        assert np.array_equal(split, whole)
+        assert len(set(whole.ravel().tolist())) >= 3  # unfound trials, and finds at two or more steps
+
     def test_batch_scores_held_one_chunk_at_a_time(self):
         # a (512, 225) policy score array alone would take 0.9 MB; the backup holds SCORE_BYTES of pairs
         # at a time. One-hot locations shift belief with ~4 first moves each; diffuse ones with all 15
@@ -929,16 +957,21 @@ class TestTrialBatches:
         ):
             with pytest.raises(ConfigError, match="^trials: need 2 starts, an object and a seed per trial$"):
                 run_sweep(template, ("none",), starts, objects, seeds)
-        with pytest.raises(ConfigError, match="^trials: start and object nodes must lie in 0..14$"):
+        with pytest.raises(ConfigError, match="^start or object node: must be < 15, got 15$"):
             run_sweep(template, ("none",), [[0, 15]], [2], [1])
+        with pytest.raises(ConfigError, match="^start or object node: must be >= 0, got -1$"):
+            run_sweep(template, ("none",), [[0, 1]], [-1], [1])
         # node indices are integers: floats and booleans would index the kernel's arrays wrongly
         with pytest.raises(ConfigError, match="^trials: start and object nodes must be integers$"):
             run_sweep(template, ("none",), [[0, 1]] * 8, [3.0] * 8, list(range(8)))
         with pytest.raises(ConfigError, match="^trials: start and object nodes must be integers$"):
             run_sweep(template, ("none",), [[0, 1]] * 8, [True] * 8, list(range(8)))
         # a seed of None would draw from the OS, so two identical sweeps would differ
-        for seeds in ([None] * 8, [-1] + list(range(7)), [1.5] + list(range(7)), [True] * 8):
-            with pytest.raises(ConfigError, match="^trials: seeds must be non-negative integers$"):
+        for seeds, message in (
+            ([None] * 8, "must be an integer, got None"), ([-1] + list(range(7)), "must be >= 0, got -1"),
+            ([1.5] + list(range(7)), "must be an integer, got 1.5"), ([True] * 8, "must be an integer, got True"),
+        ):
+            with pytest.raises(ConfigError, match=f"^trial seed: {re.escape(message)}$"):
                 run_sweep(template, ("none",), [[0, 1]] * 8, [3] * 8, seeds)
         # SeedSequence takes any non-negative integer
         assert run_sweep(template, ("none",), [[0, 1]], [3], [2**70]).found_at.shape == (1, 1)
@@ -992,6 +1025,14 @@ class TestWorkerCount:
         template = sweep_template(GRAPH, n_agents=2, steps=4)
         result = run_sweep(template, SWEEP_MODES, [[0, 4]], [4], [trial_seed(3, 0)], jobs=2)
         assert result.found_at.shape == (len(SWEEP_MODES), 1)
+
+    def test_one_planner_per_worker(self, monkeypatch):
+        # the modes set only the channel and the action policy, which the planner does not read
+        built = []
+        build = planning.PlannerContext
+        monkeypatch.setattr(planning, "PlannerContext", lambda model: built.append(model) or build(model))
+        run_sweep(sweep_template(GRAPH, n_agents=2), SWEEP_MODES, [[0, 4], [3, 9]], [4, 7], [1, 2])
+        assert len(built) == 1
 
     def test_clamped_to_cpus_and_tasks(self):
         assert worker_count(8, 100, 2) == 2

@@ -197,3 +197,21 @@ def test_node_axis_maxima_in_one_place():
 
     taken = {site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, takes_max)}
     assert sorted(taken) == []
+
+
+def test_indices_are_checked_in_one_place():
+    """No src file but ``errors.py`` holds a hand-written index rule: a chained ``0 <= x < n``
+    comparison, or a read of an ``is_integer`` test. Node indices and outcomes go through
+    ``errors.check_index``, counts through ``errors.check_count``."""
+
+    def hand_written(node):
+        if isinstance(node, ast.Compare):
+            starts_at_zero = isinstance(node.left, ast.Constant) and node.left.value == 0
+            return starts_at_zero and len(node.ops) > 1 and isinstance(node.ops[0], ast.LtE)
+        return called_name(node) == "is_integer" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    found = [
+        site for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for site in innermost_functions(path, hand_written)
+    ]
+    assert found == []
