@@ -24,6 +24,8 @@ def floored_log(p: np.ndarray) -> np.ndarray:
     distribution to log space and back is lossless away from hard zeros.
     """
     p = np.asarray(p, dtype=float)
+    if p.size and p.min() > 0:  # nothing to floor; a zero, a negative or a NaN fails the test
+        return np.log(p)
     out = np.full(p.shape, LOG_FLOOR)
     return np.log(p, where=p > 0, out=out)
 

@@ -2,28 +2,29 @@
 
 A trial steps through observe -> perceive -> broadcast and integrate ->
 plan -> act, halting early once any agent standing on the object's node
-draws a visible outcome. Each trial draws from its own seeded generator,
-so a (config, seed) pair pins the whole trajectory down to the emitted
-CSV bytes.
+draws a visible outcome. Each trial reads the raw PCG64 words of its own
+seed's stream, so a (config, seed) pair pins the whole trajectory down to
+the emitted CSV bytes.
 
 One kernel, ``_step_trials``, holds this step. It steps a batch of trials
 of one channel together as (trials, agents, nodes) belief arrays, and a
 trial that finds the object leaves it. ``run_sweep``'s workers hand it
 batches of design rows under each mode in turn, TRIALS_PER_BATCH rows or
-fewer where perception would gather more than GATHER_BYTES; a batch builds
-its rows' generators once and rewinds them for each mode.
+fewer where the belief stacks would pass BELIEF_BYTES; a batch draws its
+rows' block of words once, and every mode reads it from its start.
 ``run_trial`` is its batch of one and records the trace the scenario
 exports write. Each step draws every agent's move from the softmax of its
 first-move logits, which one ``PlannerContext.first_moves`` call gives
 without a policy array: it backs up the later steps only after the first
-moves that shift the belief. A planned or frozen trial draws all its
-uniforms as one block when its batch starts; the random walk draws step
-by step. Beliefs are updated only where a planner or a trace reads them,
-so an untraced random walk steps positions and draws alone. The kernel
-computes what the one-agent reference in ``tests/reference.py``
-(perceive, broadcast_round, expected_free_energy) computes one agent, one
-message and one policy at a time; the tests hold the two to agreement
-within 1e-12.
+moves that shift the belief. No generator is called in the step loop: a
+double is a word's top 53 bits over 2**53, and a random-walk move follows
+numpy's bounded-integer rule on the words' half-words, so every draw is
+the one ``np.random.default_rng(seed)`` would make. Beliefs are updated
+only where a planner or a trace reads them, so an untraced random walk
+steps positions and draws alone. The kernel computes what the one-agent
+reference in ``tests/reference.py`` (perceive, broadcast_round,
+expected_free_energy) computes one agent, one message and one policy at
+a time; the tests hold the two to agreement within 1e-12.
 """
 
 import hashlib
@@ -40,13 +41,14 @@ from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, last_axis_max, softma
 from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
-# Longest trial and most agents: a traced trial holds (steps, agents, nodes) arrays.
+# Longest trial, most agents, and most cells of a trace's five (steps, agents, nodes) float arrays: 80 MiB.
 STEP_CAP = 1_000
 AGENT_CAP = 64
+TRACE_CELLS = 1 << 21
 TRIALS_PER_BATCH = 256
-# A batch's perception gather, (trials, agents, nodes, nodes) doubles: 256 trials up to 128 nodes at 2 agents.
-GATHER_BYTES = 1 << 26
-# A batch's block of uniforms: the shipped sweep's 256 trials x 20 steps x 6 draws (240 KiB) fit in one.
+# A batch's (trials, agents, nodes) belief stack: 256 trials up to 8,192 agent-nodes (16 MiB).
+BELIEF_BYTES = 1 << 24
+# A batch's block of words: the shipped sweep's 256 trials x 20 steps x 6 words (240 KiB) fit in one.
 DRAW_BYTES = 1 << 20
 # Largest temperature and |visible_bonus|. With the horizon capped, a policy's score is
 # |G| <= HORIZON_CAP * (log 2 + log n + |visible_bonus|): temperature * |G| stays far inside float range.
@@ -193,7 +195,8 @@ class BeliefTrace:
 
     @classmethod
     def empty(cls, steps: int, trials: int, agents: int, n: int, comm_mode: CommMode) -> "BeliefTrace":
-        """Zeroed arrays with a trial axis after the step axis, for a batch of trials."""
+        """Zeroed arrays with a trial axis after the step axis, for a batch of trials, capped first."""
+        check_count("traced steps x agents x nodes", steps * trials * agents * n, 1, TRACE_CELLS)
         beliefs = (steps, trials, agents, n)
         return cls(
             np.zeros(beliefs), np.zeros(beliefs), np.full(beliefs[:3], -1, dtype=int),
@@ -258,11 +261,13 @@ def _perceive(planner, locs, objs, loc_obs, vis_obs) -> tuple:
     vis_msgs = np.zeros(objs.shape)
     if vis_obs is None:
         return locs, objs, prior_obj, vis_msgs
-    lw = planner.log_A2[vis_obs]
+    # an outcome's log table is off + gain * I (world.build_A2), so a product with it takes O(n) per row
+    off = planner.log_A2[vis_obs, 0, -1][..., None]
+    gain = planner.log_A2[vis_obs, 0, 0][..., None] - off
     active = np.ones(objs.shape[:-1], dtype=bool)
     for _ in range(MAX_SWEEPS):
-        new_loc = softmax(loc_ev + (lw @ objs[..., None])[..., 0])
-        new_msg = (new_loc[..., None, :] @ lw)[..., 0, :]
+        new_loc = softmax(loc_ev + (off * objs.sum(axis=-1, keepdims=True) + gain * objs))
+        new_msg = off * new_loc.sum(axis=-1, keepdims=True) + gain * new_loc
         new_obj = softmax(prior_obj + new_msg)
         delta = last_axis_max(np.maximum(np.abs(new_loc - locs), np.abs(new_obj - objs)))
         if not active.all():  # a settled row keeps its beliefs; until a row settles, nothing to select
@@ -298,21 +303,72 @@ def _choose_actions(config, planner, locs, objs, u) -> np.ndarray:
     return planning.sample_policy_index(logits, u.ravel()).reshape(u.shape)
 
 
-def _step_trials(config, planner, starts, objects, rngs, trace=None):
+def _stream_words(seed, start, count) -> np.ndarray:
+    """Words ``start .. start+count`` of the raw PCG64 stream ``np.random.default_rng(seed)`` draws from."""
+    return np.random.PCG64(seed).advance(int(start)).random_raw(count)
+
+
+def _word_block(config, seeds) -> np.ndarray:
+    """Each seed's first words, for every step of its trial or as many as DRAW_BYTES holds for the batch."""
+    width = config.n_agents * (2 + (config.movement == FREE))  # per step, at most: observations, then a move
+    span = max(1, min(config.steps, DRAW_BYTES // (8 * width * len(seeds))))
+    return np.array([_stream_words(seed, 0, span * width) for seed in seeds])
+
+
+class _Words:
+    """A batch's raw PCG64 words: a block of each trial's stream, its next word's place there, and the
+    half-word its walk keeps (-1: none). A trial that outruns its block gets the next words of its stream."""
+
+    def __init__(self, seeds, words):
+        self.seeds, self.words, self.held = seeds, words, np.full(len(seeds), -1)
+        self.start, self.pos = np.zeros((2, len(seeds)), dtype=np.int64)  # block's stream position, next word
+
+    def take(self, k: int, rows) -> np.ndarray:
+        """The next ``k`` words of each trial in ``rows``; ``k`` is at most the blocks' width."""
+        width = self.words.shape[1]
+        short = rows[self.pos[rows] + k > width]
+        if short.size:  # every mode reads the batch's block: refill a copy
+            self.start[short] += self.pos[short]
+            self.pos[short] = 0
+            self.words = self.words.copy()
+            self.words[short] = [_stream_words(self.seeds[i], self.start[i], width) for i in short]
+        self.pos[rows] += k
+        return self.words[rows[:, None], self.pos[rows, None] + np.arange(-k, 0)]
+
+    def moves(self, n: int, n_agents: int, rows) -> np.ndarray:
+        """The walk's moves for ``rows``, as ``Generator.integers(n, size=n_agents)`` draws them from PCG64:
+        a move takes x, the half-word kept from the last fresh word, else a fresh word's low half (keeping
+        the high half), and is x * n >> 32, redrawn while x * n mod 2**32 < 2**32 % n. n == 1 draws none."""
+        moves = np.zeros((len(self.pos), n_agents), dtype=int)
+        for agent in range(n_agents * (n > 1)):
+            todo = rows  # trials still drawing this agent's move
+            while todo.size:
+                x = self.held[todo]
+                fresh = x < 0
+                word = self.take(1, todo[fresh])[:, 0]
+                x[fresh] = word & 0xFFFFFFFF
+                self.held[todo] = -1
+                self.held[todo[fresh]] = word >> 32
+                m = x * n
+                moves[todo, agent] = m >> 32
+                todo = todo[(m & 0xFFFFFFFF) < 2**32 % n]
+        return moves[rows]
+
+
+def _step_trials(config, planner, starts, objects, seeds, words, trace=None):
     """The trial step, for B trials of one config at once.
 
     ``starts`` is (B, agents) start nodes, ``objects`` B object nodes or None
-    (absent), ``rngs`` B generators, each at the start of its trial's stream
-    (a sweep builds them once per row and batch and rewinds them for each
-    mode); the rest comes from ``config``.
+    (absent), ``seeds`` B trial seeds and ``words`` their ``_word_block``,
+    which no mode writes; the rest comes from ``config``.
     Every stage runs on (B, agents, nodes) belief arrays, and a trial that
-    finds the object leaves the batch. Each trial draws from its own
-    generator as alone: per step a location and a visibility draw per
-    agent, then one action draw per agent. A planned or frozen trial draws
-    these uniforms as one block when the batch starts, or one block per
-    span of steps where the batch's blocks would pass DRAW_BYTES; the
-    stream of doubles is the same. The random walk draws step by step,
-    since its integer actions take the generator's cached half-words.
+    finds the object leaves the batch. Each trial reads its own stream's
+    words in order, as one generator would draw from it alone: per step a
+    location and a visibility double per agent, then an action double per
+    planning agent, read as ``Generator.random`` reads them (numpy's PCG64
+    ``next_double``). A random-walk agent's move instead takes half-words
+    by ``Generator.integers``' rule (``_Words.moves``), so a trial's draws
+    are exactly those of ``np.random.default_rng(seed)`` in every mode.
     Beliefs are updated only where a planner or ``trace`` reads them, so
     the random walk without a trace steps positions and draws alone.
     ``trace`` is a BeliefTrace.empty of the batch to fill, or None.
@@ -329,20 +385,16 @@ def _step_trials(config, planner, starts, objects, rngs, trace=None):
     found_at = np.zeros(n_trials, dtype=int)
     draw_visibility = config.observe_visibility and config.forced_visibility is None
     observe = config.observe_location or draw_visibility
-    walk = config.movement == FREE and config.action_policy == RANDOM
     plan = config.movement == FREE and config.action_policy == PLANNED
     update_beliefs = plan or trace is not None  # read by the planner or the trace
-    obs_width = 2 * n_agents * observe  # uniforms per trial and step: observations, then actions
-    width = obs_width + n_agents * plan
-    span = 1 if walk else max(1, min(config.steps, DRAW_BYTES // (8 * max(width, 1) * n_trials)))
-    draws = np.empty((n_trials, 0))  # filled at step 0 when the trials draw anything
+    obs_width = 2 * n_agents * observe  # observation doubles per trial and step; the actions' follow
+    words = _Words(seeds, words)
 
     for t in range(config.steps):
-        if width and t % span == 0:
-            draws = np.array([rng.random(span * width) for rng in rngs]).reshape(len(rngs), span, width)
+        draws = (words.take(obs_width + n_agents * plan, live) >> 11) * 2.0**-53  # Generator.random's doubles
         loc_obs = vis_obs = None
         if observe:
-            u = draws[:, t % span, :obs_width].reshape(-1, n_agents, 2)
+            u = draws[:, :obs_width].reshape(-1, n_agents, 2)
             drawn = world.env_observe(positions, obj_nodes, u, planner.cum_A1, planner.A2)
             if config.observe_location:
                 loc_obs = drawn[0]
@@ -373,14 +425,13 @@ def _step_trials(config, planner, starts, objects, rngs, trace=None):
                 live, positions, locs, objs, obj_nodes, draws = (
                     a[~hit] for a in (live, positions, locs, objs, obj_nodes, draws)
                 )
-                rngs = [rng for rng, done in zip(rngs, hit) if not done]
         if t == config.steps - 1 or not live.size:
             break
 
         if plan:
-            actions = _choose_actions(config, planner, locs, objs, draws[:, t % span, obs_width:])
-        elif walk:
-            actions = np.array([rng.integers(n, size=n_agents) for rng in rngs])
+            actions = _choose_actions(config, planner, locs, objs, draws[:, obs_width:])
+        elif config.movement == FREE:  # the random walk
+            actions = words.moves(n, n_agents, live)
         else:
             actions = positions
         if trace is not None:
@@ -399,8 +450,8 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
     trace = BeliefTrace.empty(config.steps, 1, config.n_agents, config.graph.n_nodes, config.comm_mode)
     objects = None if config.object_location is None else [config.object_location]
     starts = [[s.start_node for s in config.agents]]
-    rngs = [np.random.default_rng(config.seed)]
-    found_at = _step_trials(config, planner_context(config), starts, objects, rngs, trace)
+    words = _word_block(config, [config.seed])
+    found_at = _step_trials(config, planner_context(config), starts, objects, [config.seed], words, trace)
     steps_to_find = int(found_at[0]) or None
     trace = trace.trial(0, steps_to_find or config.steps)
     return TrialResult(steps_to_find is not None, steps_to_find, trace)
@@ -409,10 +460,10 @@ def run_trial(config: ScenarioConfig) -> TrialResult:
 def _run_trials(template: ScenarioConfig, modes, starts, objects, seeds) -> np.ndarray:
     """``run_sweep``'s worker: design rows under every mode; their find steps, (modes, rows).
 
-    Rows run in batches of TRIALS_PER_BATCH, fewer where a batch's perception gather would pass
-    GATHER_BYTES. A batch builds each row's generator once and rewinds it to its seeded state
-    before each mode, so every mode reads the row's stream from its start. Every mode shares one
-    planner: the modes set only the channel and the action policy, which it does not read.
+    Rows run in batches of TRIALS_PER_BATCH, fewer where a batch's (rows, agents, nodes) belief stack
+    would pass BELIEF_BYTES. A batch draws its rows' block of words once and hands every mode that
+    block, which none writes, so each mode reads each row's stream from its start. Every mode shares
+    one planner: the modes set only the channel and the action policy, which it does not read.
     """
     configs = [
         replace(template, comm_mode=CommMode.NONE, action_policy=RANDOM) if mode == RANDOM
@@ -420,16 +471,13 @@ def _run_trials(template: ScenarioConfig, modes, starts, objects, seeds) -> np.n
         for mode in modes
     ]
     planner = planner_context(template)
-    batch = max(1, min(TRIALS_PER_BATCH, GATHER_BYTES // (8 * template.n_agents * template.graph.n_nodes**2)))
+    batch = max(1, min(TRIALS_PER_BATCH, BELIEF_BYTES // (8 * template.n_agents * template.graph.n_nodes)))
     found_at = np.zeros((len(modes), len(objects)), dtype=int)
     for i in range(0, len(objects), batch):
         rows = slice(i, i + batch)
-        rngs = [np.random.default_rng(seed) for seed in seeds[rows]]
-        states = [rng.bit_generator.state for rng in rngs]
+        words = _word_block(template, seeds[rows])
         for m, config in enumerate(configs):
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
-            found_at[m, rows] = _step_trials(config, planner, starts[rows], objects[rows], rngs)
+            found_at[m, rows] = _step_trials(config, planner, starts[rows], objects[rows], seeds[rows], words)
     return found_at
 
 

@@ -192,6 +192,26 @@ class TestCmdScenario:
         assert code == EXIT_IO
         assert len(err) == 1 and err[0].startswith("cannot write outputs:")
 
+    def test_trace_capped_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # 1,000 steps x 64 agents x 1,000 nodes: each of the trace's five float arrays would take 512 MB
+        prior = np.ones(1000) / 1000
+        config = ScenarioConfig(
+            graph=world.WorldGraph.grid(25, 40), agents=[AgentSpec(0, prior) for _ in range(64)],
+            comm_mode=CommMode.NONE, steps=1000, movement="frozen",
+        )
+        monkeypatch.setitem(cli.SCENARIO_BUILDERS, "self-doubt", lambda mode, seed: config)
+        out = tmp_path / "huge"
+        tracemalloc.start()
+        try:
+            code, err = run_main(["scenario", "self-doubt", "--mode", "none", "--out", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CAP
+        assert err == ["resource cap: traced steps x agents x nodes: 64000000 is over the cap of 2097152"]
+        assert peak < 1_000_000
+        assert not out.exists()
+
     def test_echo_chamber_outputs(self, tmp_path):
         out = tmp_path / "echo"
         assert cmd_scenario("echo-chamber", "posterior_sharing", str(out)) == EXIT_OK

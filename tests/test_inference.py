@@ -110,6 +110,34 @@ class TestLastAxisMax:
         assert last_axis_max(x[..., ::-1]).tobytes() == expected.tobytes()
 
 
+class TestFlooredLog:
+    """``floored_log`` skips its masked pass only where no entry needs flooring, and gives the masked
+    result to the bit on every input."""
+
+    @staticmethod
+    def masked(p):
+        return np.log(p, where=p > 0, out=np.full(p.shape, LOG_FLOOR))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, 0.0, 0.25], [0.5, -0.0, 0.25], [0.5, -1e-300, 0.25], [0.5, np.nan, 0.25],
+            [0.5, np.inf, 5e-324], [5e-324, 1.0], [np.nan], [-np.inf, 1.0], [],
+        ],
+    )
+    def test_equals_masked_log(self, values):
+        p = np.array(values, dtype=float)
+        assert floored_log(p).tobytes() == self.masked(p).tobytes()
+
+    def test_equals_masked_log_on_belief_stacks(self):
+        rng = np.random.default_rng(3)
+        p = rng.dirichlet(np.ones(15), size=(546,)) * 10.0 ** rng.integers(-300, 1, size=(546, 1))
+        assert floored_log(p).tobytes() == self.masked(p).tobytes()
+        p[7, 3] = 0.0
+        assert floored_log(p).tobytes() == self.masked(p).tobytes()
+        assert floored_log(p).shape == (546, 15) and floored_log(p[:0]).shape == (0, 15)
+
+
 class TestTypes:
     def test_belief_rejects_bad_sum(self):
         with pytest.raises(DegenerateDistribution):

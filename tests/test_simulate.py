@@ -320,6 +320,29 @@ class TestFirstMoveMarginal:
         assert np.isfinite(planner.first_moves(locs, objs, horizon, simulate.SCALE_BOUND)).all()
 
 
+def generator_before(word: int) -> np.random.Generator:
+    """A generator whose next raw PCG64 word is ``word``.
+
+    numpy's PCG64 steps its 128-bit state (state * multiplier + increment) and outputs the state's
+    two 64-bit halves xored and rotated right by the top six bits; so pick the stepped state, then
+    step it back.
+    """
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    high = 0x9E3779B97F4A7C15
+    rotation = high >> 58
+    low = high ^ ((word << rotation | word >> (64 - rotation)) & (2**64 - 1))
+    state = np.random.PCG64(8).state
+    state["state"]["state"] = ((high << 64 | low) - state["state"]["inc"]) * pow(multiplier, -1, 2**128) % 2**128
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def residue_half(r: int, n: int) -> int:
+    """A 32-bit x with x * n = r mod 2**32, for an n that 2**32 shares only the factor 8 with."""
+    return (r // 8) * pow(n // 8, -1, 2**29) % 2**29
+
+
 class TestDraws:
     """What the trial step draws, and what it skips when nothing reads it."""
 
@@ -336,6 +359,26 @@ class TestDraws:
             if t < config.steps - 1:
                 rng.random(2)
                 positions = world.env_step(positions, trace.actions[t], GRAPH)
+
+    def test_kernel_hands_on_the_generators_doubles(self, monkeypatch):
+        # the uniforms the observation draw and the action sampling get are, to the bit, the doubles
+        # Generator.random draws: two per agent, then one per agent, each step but the last
+        config = sweep_style_config((3, 12), None, CommMode.LIKELIHOOD_SHARING, 23, steps=5)
+        handed = []
+        observe, choose = world.env_observe, simulate._choose_actions
+
+        def observed(positions, obj, u, *tables):
+            handed.append(u.ravel())
+            return observe(positions, obj, u, *tables)
+
+        def chosen(config, planner, locs, objs, u):
+            handed.append(u.ravel())
+            return choose(config, planner, locs, objs, u)
+
+        monkeypatch.setattr(world, "env_observe", observed)
+        monkeypatch.setattr(simulate, "_choose_actions", chosen)
+        run_trial(config)
+        assert np.concatenate(handed).tobytes() == np.random.default_rng(23).random(5 * 4 + 4 * 2).tobytes()
 
     def test_random_walk_skips_beliefs_nothing_reads(self, monkeypatch):
         template = sweep_template(GRAPH, 2, steps=6)
@@ -381,6 +424,69 @@ class TestDraws:
             tracemalloc.stop()
         assert not found.any()
         assert peak < 8 * simulate.DRAW_BYTES
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 16, 1000])
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 5])
+    def test_words_give_the_generators_draws(self, n, n_agents):
+        # a walk's step: each agent's two observation doubles, then every agent's move; blocks one
+        # word longer than a step's doubles refill mid-step, and an odd agent count carries a kept
+        # half-word into the next step
+        seeds = [trial_seed(31, k) for k in range(5)]
+        rows = np.arange(len(seeds))
+        block = np.array([simulate._stream_words(seed, 0, 2 * n_agents + 1) for seed in seeds])
+        words = simulate._Words(seeds, block)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        for _ in range(4):
+            doubles = (words.take(2 * n_agents, rows) >> 11) * 2.0**-53
+            assert doubles.tobytes() == np.array([rng.random(2 * n_agents) for rng in rngs]).tobytes()
+            moves = words.moves(n, n_agents, rows)
+            assert np.array_equal(moves, [rng.integers(n, size=n_agents) for rng in rngs])
+        # the same number of words read: the next raw word of each stream agrees
+        assert np.array_equal(words.take(1, rows)[:, 0], [rng.bit_generator.random_raw() for rng in rngs])
+
+    @pytest.mark.parametrize(
+        "n, word, read",
+        [
+            # both halves give x * 15 = 0 < 2**32 % 15 = 1: two redraws, a word more than seven moves take
+            (15, 0, 5),
+            # x * 1000 mod 2**32 is 288 in the low half, below 2**32 % 1000 = 296, and 296 in the high:
+            # one redraw, so the second call finds no kept half
+            (1000, residue_half(296, 1000) << 32 | residue_half(288, 1000), 4),
+        ],
+    )
+    def test_walk_redraws_rejected_moves(self, n, word, read):
+        rng = generator_before(word)
+        crafted = np.random.PCG64()
+        crafted.state = rng.bit_generator.state
+        block = crafted.random_raw(8)
+        assert block[0] == word
+        words = simulate._Words([None], block[None])  # the block is long enough: no seed is read
+        one = np.arange(1)
+        for size in (4, 3):  # the second call starts from the half-word the first one kept
+            assert np.array_equal(words.moves(n, size, one)[0], rng.integers(n, size=size))
+        assert words.pos[0] == read
+        assert words.take(1, one)[0, 0] == rng.bit_generator.random_raw()
+
+    def test_walk_refills_blocks_mid_trial(self, monkeypatch):
+        # three agents keep a half-word across steps; blocks of two steps' words refill in mid-trial,
+        # and the modes after the walk still read the batch's block from its start
+        template = sweep_template(GRAPH, 3, steps=9, temperature=4.0)
+        rng = np.random.default_rng(41)
+        starts, objects = rng.integers(15, size=(20, 3)), rng.integers(15, size=20)
+        seeds = [trial_seed(42, k) for k in range(20)]
+        modes = ("random", "none", "likelihood_sharing")
+        whole = run_sweep(template, modes, starts, objects, seeds).found_at
+        stream_words, reads = simulate._stream_words, []
+
+        def counted(seed, start, count):
+            reads.append(start)
+            return stream_words(seed, start, count)
+
+        monkeypatch.setattr(simulate, "_stream_words", counted)
+        monkeypatch.setattr(simulate, "DRAW_BYTES", 2 * 8 * 9 * 20)
+        assert np.array_equal(run_sweep(template, modes, starts, objects, seeds).found_at, whole)
+        assert sum(start > 0 for start in reads) >= 20  # every trial refilled at least once
+        assert len(set(whole[0].tolist())) >= 3  # unfound walks, and finds at two or more steps
 
 
 class TestDeterminism:
@@ -736,8 +842,8 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("order", [1, -1])
     def test_mode_independent_of_the_other_modes(self, jobs, order):
-        # a worker rewinds each row's generator before each mode: every mode reads its row's
-        # stream from the start, as when it is swept alone
+        # a worker hands every mode the same block of each row's words, which none writes: every
+        # mode reads its row's stream from the start, as when it is swept alone
         template = sweep_template(GRAPH, n_agents=2, steps=6, temperature=4.0)
         rng = np.random.default_rng(17)
         starts, objects = rng.integers(15, size=(40, 2)), rng.integers(15, size=40)
@@ -897,9 +1003,9 @@ class TestTrialBatches:
             finds.update(found[-1].tolist())
         assert len(finds) >= 3  # unfound trials, and finds at two or more steps
 
-    def test_gather_budget_splits_batches(self, monkeypatch):
-        # perception gathers (trials, agents, nodes, nodes) doubles per batch: a budget of five
-        # two-agent trials on the grid splits 40 rows into eight batches, and no find step moves
+    def test_belief_budget_splits_batches(self, monkeypatch):
+        # a batch holds (trials, agents, nodes) belief stacks: a budget of five two-agent trials'
+        # stacks on the grid splits 40 rows into eight batches, and no find step moves
         template = sweep_template(GRAPH, 2, steps=8, temperature=4.0)
         rng = np.random.default_rng(12)
         starts = rng.integers(15, size=(40, 2))
@@ -916,7 +1022,7 @@ class TestTrialBatches:
         whole = run_sweep(template, SWEEP_MODES, starts, objects, seeds).found_at
         assert sizes == [40] * len(SWEEP_MODES)
         sizes.clear()
-        monkeypatch.setattr(simulate, "GATHER_BYTES", 5 * 8 * 2 * 15**2 + 7)
+        monkeypatch.setattr(simulate, "BELIEF_BYTES", 5 * 8 * 2 * 15 + 7)
         split = run_sweep(template, SWEEP_MODES, starts, objects, seeds).found_at
         assert sizes == [5] * 8 * len(SWEEP_MODES)
         assert np.array_equal(split, whole)

@@ -215,3 +215,23 @@ def test_indices_are_checked_in_one_place():
         for site in innermost_functions(path, hand_written)
     ]
     assert found == []
+
+
+def test_random_streams_are_read_in_one_place():
+    """No src code builds a generator (``default_rng``) or calls a generator's ``.random(`` or
+    ``.integers(``, and only ``simulate._stream_words`` names ``PCG64``: every trial reads its draws
+    as raw words of its seed's stream through that one function. ``trial_seed``'s ``SeedSequence``,
+    which derives the seeds, stays allowed."""
+
+    def draws(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr in {"random", "integers"}
+        return called_name(node) == "default_rng"
+
+    def names_pcg64(node):
+        return called_name(node) == "PCG64"
+
+    drawn = [site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, draws)]
+    streamed = [site for path in sorted(SRC.glob("*.py")) for site in innermost_functions(path, names_pcg64)]
+    assert drawn == []
+    assert streamed == ["simulate.py: _stream_words"]
