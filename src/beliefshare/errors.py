@@ -13,8 +13,8 @@ class ConfigError(BeliefShareError):
 
 
 class CapExceeded(BeliefShareError):
-    """A request is over a resource cap: steps, agents, horizon, repeats, trials, policies, or the
-    nodes of a graph, including a fixture's node number too long to read."""
+    """A request is over a resource cap: steps, agents, horizon, repeats, trials, policies, traced
+    steps x agents x nodes, or the nodes of a graph, including a fixture's node number too long to read."""
 
 
 class FileAccessError(BeliefShareError):

@@ -41,7 +41,7 @@ from .inference import MAX_SWEEPS, SWEEP_TOL, floored_log, last_axis_max, softma
 from .model import VISIBLE_BONUS, make_agent_model
 
 SWEEP_TRIAL_CAP = 200_000
-# Longest trial, most agents, and most cells of a trace's five (steps, agents, nodes) float arrays: 80 MiB.
+# Longest trial, most agents, and most cells of a trace's two (steps, agents, nodes) float arrays: 32 MiB.
 STEP_CAP = 1_000
 AGENT_CAP = 64
 TRACE_CELLS = 1 << 21
@@ -169,27 +169,21 @@ class ScenarioConfig:
 
 @dataclass
 class BeliefTrace:
-    """Per-timestep record of beliefs, actions, observations and payloads.
+    """Per-timestep record of object beliefs, actions, observations and payloads.
 
-    Arrays run (steps, agents, ...). ``object_prior_msgs`` and
-    ``object_likelihood_sums`` hold each agent's own message decomposition
-    for the step, which is what the sharing identity checks compare
-    payloads against. ``messages[t, j]`` is the payload agent j sent every
-    other agent at step t under ``comm_mode``; under "none" nothing is sent
-    and it stays zero. Actions and observations read -1 where none was
-    taken or drawn.
+    Arrays run (steps, agents, ...). ``messages[t, j]`` is the payload
+    agent j sent every other agent at step t under ``comm_mode``; under
+    "none" nothing is sent and it stays zero. Actions and observations read
+    -1 where none was taken or drawn.
 
-    The scenario export writes ``object_beliefs`` and ``messages``; the oracle tests read
-    ``location_beliefs``, ``object_prior_msgs`` and ``object_likelihood_sums``, and they and
-    demo 01 read ``observations`` and ``actions``.
+    The scenario export writes ``object_beliefs`` and ``messages``, demos
+    01-03 read ``object_beliefs``, and demo 01 reads ``observations`` and
+    ``actions`` too.
     """
 
     object_beliefs: np.ndarray
-    location_beliefs: np.ndarray
     actions: np.ndarray
     observations: np.ndarray
-    object_prior_msgs: np.ndarray
-    object_likelihood_sums: np.ndarray
     messages: np.ndarray
     comm_mode: CommMode
 
@@ -199,8 +193,7 @@ class BeliefTrace:
         check_count("traced steps x agents x nodes", steps * trials * agents * n, 1, TRACE_CELLS)
         beliefs = (steps, trials, agents, n)
         return cls(
-            np.zeros(beliefs), np.zeros(beliefs), np.full(beliefs[:3], -1, dtype=int),
-            np.full((*beliefs[:3], 2), -1, dtype=int), np.zeros(beliefs), np.zeros(beliefs),
+            np.zeros(beliefs), np.full(beliefs[:3], -1, dtype=int), np.full((*beliefs[:3], 2), -1, dtype=int),
             np.zeros(beliefs), comm_mode,
         )
 
@@ -409,12 +402,9 @@ def _step_trials(config, planner, starts, objects, seeds, words, trace=None):
 
         if trace is not None:
             trace.object_beliefs[t, live] = objs
-            trace.location_beliefs[t, live] = locs
-            trace.object_prior_msgs[t, live] = prior_obj
             for obs, column in ((loc_obs, 0), (vis_obs, 1)):
                 if obs is not None:
                     trace.observations[t, live, :, column] = obs
-            trace.object_likelihood_sums[t, live] = vis_msgs
             if payloads is not None:
                 trace.messages[t, live] = payloads
 
@@ -605,8 +595,8 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
 
     Row j gives the agents' start nodes, the object's node and the seed, and every mode runs it
     with that seed, so mode comparisons share their random draws. All else, the agents' priors
-    included, comes from ``template``; "random" is the no-planning baseline. At most
-    SWEEP_TRIAL_CAP trials run; ``full_design`` builds the CLI's design.
+    included, comes from ``template``; "random" is the no-planning baseline. At least one and at
+    most SWEEP_TRIAL_CAP trials run; ``full_design`` builds the CLI's design.
     """
     if isinstance(modes, str):
         raise ConfigError(f"sweep_modes: need a sequence of mode names, got {modes!r}")
@@ -629,12 +619,11 @@ def run_sweep(template: ScenarioConfig, modes, starts, objects, seeds, jobs: int
         shaped = False
     if not shaped:
         raise ConfigError(f"trials: need {template.n_agents} starts, an object and a seed per trial")
-    if starts.size and not all(np.issubdtype(a.dtype, np.integer) for a in (starts, objects)):
+    check_count("trials", len(objects) * len(modes), 1, SWEEP_TRIAL_CAP)
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (starts, objects)):
         raise ConfigError("trials: start and object nodes must be integers")
-    if starts.size:
-        check_index("start or object node", min(starts.min(), objects.min()), n)
-        check_index("start or object node", max(starts.max(), objects.max()), n)
-    check_count("trials", len(objects) * len(modes), 0, SWEEP_TRIAL_CAP)
+    check_index("start or object node", min(starts.min(), objects.min()), n)
+    check_index("start or object node", max(starts.max(), objects.max()), n)
     for seed in seeds:
         check_count("trial seed", seed, 0)
 

@@ -28,6 +28,7 @@ from beliefshare.simulate import (
     self_doubt_config,
     bumped_prior,
 )
+from recorder import recorded_trial
 from reference import (
     CategoricalBelief,
     LikelihoodTensor,
@@ -274,13 +275,11 @@ def test_criterion_6_double_counting_identity():
     worst = 0.0
     checked = 0
     for config in configs:
-        trace = run_trial(config).trace
+        result, _, prior_msgs, vis_msgs = recorded_trial(config)
+        trace = result.trace
         for t in range(trace.n_steps):
             for sender in range(trace.n_agents):
-                decomposed = (
-                    trace.object_prior_msgs[t, sender]
-                    + trace.object_likelihood_sums[t, sender]
-                )
+                decomposed = prior_msgs[t, sender] + vis_msgs[t, sender]
                 payload = trace.messages[t, sender]
                 dev = np.abs(
                     (payload - payload.max()) - (decomposed - decomposed.max())

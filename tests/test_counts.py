@@ -148,7 +148,11 @@ INTEGER_INPUTS = [
     bad(lambda: sweep(True), ConfigError, "jobs: must be an integer, got True"),
     bad(lambda: sweep("2"), ConfigError, "jobs: must be an integer, got '2'"),
     bad(lambda: sweep(0), ConfigError, "jobs: must be >= 1, got 0"),
-    # a design's nodes and seeds
+    # a design's rows, nodes and seeds
+    bad(
+        lambda: sweep(1, starts=np.empty((0, 1), int), objects=[], seeds=[]), ConfigError,
+        "trials: must be >= 1, got 0",
+    ),
     bad(lambda: sweep(1, objects=[2]), ConfigError, "start or object node: must be < 2, got 2"),
     bad(lambda: sweep(1, starts=[[-1]]), ConfigError, "start or object node: must be >= 0, got -1"),
     bad(lambda: sweep(1, seeds=[None]), ConfigError, "trial seed: must be an integer, got None"),

@@ -31,6 +31,7 @@ from beliefshare.simulate import (
     trial_seed,
     worker_count,
 )
+from recorder import recorded_trial
 from reference import BeliefState, broadcast_round, initial_state, integrated_object_belief, perceive
 
 GRAPH = world.default_graph()
@@ -123,13 +124,13 @@ def reference_trial(config):
 
 
 def assert_matches_reference(config):
-    result = run_trial(config)
+    result, locations, _, _ = recorded_trial(config)
     obj_ref, loc_ref, actions_ref, found_ref, steps_ref = reference_trial(config)
     assert result.found == found_ref
     assert result.steps_to_find == steps_ref
     assert result.trace.object_beliefs.shape == obj_ref.shape
     assert np.abs(result.trace.object_beliefs - obj_ref).max() < 1e-12
-    assert np.abs(result.trace.location_beliefs - loc_ref).max() < 1e-12
+    assert np.abs(locations - loc_ref).max() < 1e-12
     acted = result.trace.actions[: len(actions_ref)]
     assert [list(a) for a in acted] == actions_ref
 
@@ -187,29 +188,31 @@ class TestTrialLoopEquivalence:
             graph=GRAPH, agents=agents, object_location=None, comm_mode=CommMode.NONE,
             steps=6, observe_location=False, movement="frozen", forced_visibility=world.VISIBLE,
         )
-        together = run_trial(config).trace
+        together, together_locs, _, _ = recorded_trial(config)
         for i in range(2):
-            alone = run_trial(replace(config, agents=[agents[i]])).trace
-            assert np.array_equal(together.object_beliefs[:, i], alone.object_beliefs[:, 0])
-            assert np.array_equal(together.location_beliefs[:, i], alone.location_beliefs[:, 0])
+            alone, alone_locs, _, _ = recorded_trial(replace(config, agents=[agents[i]]))
+            assert np.array_equal(together.trace.object_beliefs[:, i], alone.trace.object_beliefs[:, 0])
+            assert np.array_equal(together_locs[:, i], alone_locs[:, 0])
 
 
 class TestChannelIdentities:
     """What each channel makes of a round's evidence, on traced kernel trials of two and three agents.
 
     b_j is agent j's object belief before a round and S the round's visibility messages summed over
-    the agents. Posterior sharing gives every agent softmax(sum_j log b_j + S), so the agents agree
-    after the first round and from then on log b_t = K log b_(t-1) + S_t: evidence a rounds old counts
-    K**a times. Likelihood sharing gives agent i softmax(log b_i + S): its own prior and every agent's
-    evidence, each counted once. Both hold to 1e-12 until a belief entry falls under FLOOR; the 1e-16
-    probability floor breaks them once a belief saturates.
+    the agents, as the kernel's perception gave them (``recorder.recorded_trial``). Posterior sharing
+    gives every agent softmax(sum_j log b_j + S), so the agents agree after the first round and from
+    then on log b_t = K log b_(t-1) + S_t: evidence a rounds old counts K**a times. Likelihood sharing
+    gives agent i softmax(log b_i + S): its own prior and every agent's evidence, each counted once.
+    Both hold to 1e-12 until a belief entry falls under FLOOR; the 1e-16 probability floor breaks
+    them once a belief saturates.
     """
 
     FLOOR = 1e-12
 
     @staticmethod
     def traces(mode):
-        """(K, priors, trace) of run_trial at K = 2 and 3, the agents' object priors unequal."""
+        """(K, priors, trace, visibility messages) of a recorded trial at K = 2 and 3, the agents'
+        object priors unequal."""
         priors = [peaked_prior(15, 3, 0.6), bumped_prior(15, (1, 12)), np.ones(15) / 15]
         for starts in ((3, 12), (0, 7, 14)):
             agents = [AgentSpec(start, prior) for start, prior in zip(starts, priors)]
@@ -217,22 +220,23 @@ class TestChannelIdentities:
                 config = ScenarioConfig(
                     graph=GRAPH, agents=agents, object_location=9, comm_mode=mode, steps=12, seed=seed,
                 )
-                yield len(agents), np.array(priors[: len(agents)]), run_trial(config).trace
+                result, _, _, vis_msgs = recorded_trial(config)
+                yield len(agents), np.array(priors[: len(agents)]), result.trace, vis_msgs
 
-    def rounds(self, trace, priors):
+    def rounds(self, trace, vis_msgs, priors):
         """(t, beliefs before round t, beliefs after it, S_t), up to the first belief entry under FLOOR."""
         before = priors
         for t in range(trace.n_steps):
             after = trace.object_beliefs[t]
             if min(before.min(), after.min()) < self.FLOOR:
                 return
-            yield t, before, after, trace.object_likelihood_sums[t].sum(axis=0)
+            yield t, before, after, vis_msgs[t].sum(axis=0)
             before = after
 
     def test_posterior_sharing_compounds(self):
         checked = 0
-        for K, priors, trace in self.traces(CommMode.POSTERIOR_SHARING):
-            for t, before, after, S in self.rounds(trace, priors):
+        for K, priors, trace, vis_msgs in self.traces(CommMode.POSTERIOR_SHARING):
+            for t, before, after, S in self.rounds(trace, vis_msgs, priors):
                 assert np.abs(after - softmax(np.log(before).sum(axis=0) + S)).max() <= 1e-12
                 if t:
                     assert np.abs(after - softmax(K * np.log(before[0]) + S)).max() <= 1e-12
@@ -241,8 +245,8 @@ class TestChannelIdentities:
 
     def test_likelihood_sharing_counts_evidence_once(self):
         checked = 0
-        for _, priors, trace in self.traces(CommMode.LIKELIHOOD_SHARING):
-            for t, before, after, S in self.rounds(trace, priors):
+        for _, priors, trace, vis_msgs in self.traces(CommMode.LIKELIHOOD_SHARING):
+            for t, before, after, S in self.rounds(trace, vis_msgs, priors):
                 assert np.abs(after - softmax(np.log(before) + S)).max() <= 1e-12
                 checked += t > 0
         assert checked >= 20
@@ -393,7 +397,7 @@ class TestDraws:
         monkeypatch.undo()
         # a trace reads the beliefs, so a traced random walk still updates them
         config = replace(template, object_location=None, action_policy="random")
-        beliefs = run_trial(config).trace.location_beliefs
+        _, beliefs, _, _ = recorded_trial(config)
         assert beliefs.shape == (6, 2, 15)
         assert np.allclose(beliefs.sum(axis=-1), 1.0) and not np.array_equal(beliefs[0], beliefs[-1])
 
@@ -492,19 +496,19 @@ class TestDraws:
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         config = sweep_style_config((0, 14), 6, CommMode.LIKELIHOOD_SHARING, 77, steps=12)
-        a = run_trial(config)
-        b = run_trial(config)
+        a, a_locs, _, _ = recorded_trial(config)
+        b, b_locs, _, _ = recorded_trial(config)
         assert a.found == b.found and a.steps_to_find == b.steps_to_find
         assert np.array_equal(a.trace.object_beliefs, b.trace.object_beliefs)
-        assert np.array_equal(a.trace.location_beliefs, b.trace.location_beliefs)
+        assert np.array_equal(a_locs, b_locs)
         assert np.array_equal(a.trace.actions, b.trace.actions)
         assert np.array_equal(a.trace.observations, b.trace.observations)
 
     def test_trace_rows_normalized(self):
         config = sweep_style_config((2, 8), 4, CommMode.POSTERIOR_SHARING, 3, steps=10)
-        trace = run_trial(config).trace
-        assert np.allclose(trace.object_beliefs.sum(axis=2), 1.0, atol=1e-9)
-        assert np.allclose(trace.location_beliefs.sum(axis=2), 1.0, atol=1e-9)
+        result, locations, _, _ = recorded_trial(config)
+        assert np.allclose(result.trace.object_beliefs.sum(axis=2), 1.0, atol=1e-9)
+        assert np.allclose(locations.sum(axis=2), 1.0, atol=1e-9)
 
     def test_seed_changes_trajectory(self):
         base = sweep_style_config((0, 14), 6, CommMode.NONE, 1, steps=12)

@@ -6,10 +6,11 @@ import ast
 import importlib.util
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from beliefshare import cli
-from beliefshare.simulate import CommMode
+from beliefshare.simulate import BeliefTrace, CommMode
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(cli.__file__).resolve().parent
@@ -139,6 +140,33 @@ def test_readme_line_count_is_current():
     assert stated, "README states no src line count"
     counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == counted
+
+
+def test_src_lines_fit_110_columns():
+    """Every src line is at most 110 characters long."""
+    long = [
+        f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 110
+    ]
+    assert not long, f"these src lines are over 110 characters: {long}"
+
+
+def test_trace_fields_have_a_reader():
+    """Src or ``demos/`` reads every ``BeliefTrace`` field: a traced trial keeps only what a command,
+    an export or a demo reads. A field is read where it is loaded outside an assignment target, so
+    the kernel's writes into the trace do not count."""
+    read = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assigns = [node for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))]
+        targets = [t for node in assigns for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+        written = {node for target in targets for node in ast.walk(target)}
+        read |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node not in written
+        }
+    unread = [field.name for field in fields(BeliefTrace) if field.name not in read]
+    assert not unread, f"nothing in src or demos reads these trace fields: {unread}"
 
 
 def innermost_functions(path: Path, wanted) -> list:
